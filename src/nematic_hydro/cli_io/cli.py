@@ -25,6 +25,7 @@ from ..macro import step as macro_step
 from ..qtensor import DegenerateLeadingEigenvalue
 from ..validation import (
     AlignedPerturbation,
+    aligned_marginal_cdf,
     corrector_channel_residuals,
     eps_expansion_study,
     gci_orthogonality_report,
@@ -175,13 +176,14 @@ def _initial_macro_field(p: dict) -> MacroField:
 def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
     p = cfg.params
     kappa, d = p["kappa"], p["d"]
+    field = _initial_macro_field(p)
+    field.validate()  # a non-positive initial density is a config error
     if coeffs_path is not None:
         coefficients = load_coefficient_row(coeffs_path, kappa, d)
     else:
         coefficients = compute_coefficients(
             solve_bundle(kappa, d, p["n_profile"]), kappa, d
         )
-    field = _initial_macro_field(p)
     c_max = max(coefficients.positive_block().values())
     dt = p["cfl_safety"] * field.dx**2 / c_max
     macro_cfg = MacroConfig(
@@ -305,8 +307,6 @@ def _validate_equilibrium(p: dict, chash: str, out: Path) -> None:
         "sample_sufficient": stats.sample_sufficient,
         "order_parameter": stats.order_parameter,
     })
-    from ..validation import aligned_marginal_cdf
-
     kappa = p["nu"] / p["D"]
     r = np.linspace(-1.0, 1.0, 201)
     cdf = aligned_marginal_cdf(kappa, 2)(r)

@@ -3,9 +3,6 @@
 UNIT_TOL = 1e-12
 """Tolerance for unit-norm checks on directions."""
 
-QUAD_TOL = 1e-10
-"""Tolerance for quadrature-exactness and moment-identity checks."""
-
 GAP_FLOOR = 1e-9
 """Spectral gap below which a leading eigenvector is treated as degenerate."""
 

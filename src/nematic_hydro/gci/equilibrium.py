@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -32,12 +33,14 @@ class Equilibrium:
         return self.kappa * np.asarray(r, dtype=float)
 
 
+@lru_cache(maxsize=None)
 def make_equilibrium(kappa: float, d: int, n_quad: int = 256) -> Equilibrium:
     """Compute Z = int exp((kappa/2) r^2) d(omega) by a Gauss rule.
 
     The radial rule is exact for the (1-r^2)^{(d-3)/2} measure; the Jacobi
     weights sum to the unnormalized measure, so dividing by W_{d-2} gives the
-    normalized Z.  kappa = 0 yields Z = 1 and the uniform density.
+    normalized Z.  kappa = 0 yields Z = 1 and the uniform density.  Results
+    are cached per argument tuple; Equilibrium is frozen, so sharing is safe.
     """
     if kappa < 0:
         raise ValueError("kappa >= 0 required")

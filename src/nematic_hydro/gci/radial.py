@@ -84,19 +84,6 @@ class RadialSolution:
             self._deriv_spline = CubicSpline(self.grid, self.derivative_values)
         return self._deriv_spline(r)
 
-    def space_norms(self) -> tuple[float, float]:
-        """Discrete weighted integrals (value and derivative) of the space tag."""
-        mu, nu = _SPACE_EXPONENTS[self.kind]
-        mu = mu(self.d) if callable(mu) else mu
-        nu = nu(self.d)
-        r = self.grid
-        w = np.gradient(r)
-        E = np.exp(0.5 * self.kappa * r**2)
-        s2 = 1.0 - r**2
-        val = float(w @ (s2**mu * E * self.values**2))
-        der = float(w @ (s2**nu * E * self.derivative_values**2))
-        return val, der
-
 
 _SPACE_EXPONENTS = {
     "h": (lambda d: (d - 1) / 2, lambda d: (d + 1) / 2),

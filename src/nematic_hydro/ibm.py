@@ -21,12 +21,12 @@ state uses the reserved stream index 2**64 - 1.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .constants import GAP_FLOOR
 from .qtensor import (
@@ -148,7 +148,10 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _wrap(positions: np.ndarray, box_length: float) -> np.ndarray:
-    return positions - box_length * np.floor(positions / box_length)
+    wrapped = positions - box_length * np.floor(positions / box_length)
+    # a tiny negative coordinate rounds up to exactly box_length
+    wrapped[wrapped >= box_length] = 0.0
+    return wrapped
 
 
 def _min_image(disp: np.ndarray, box_length: float) -> np.ndarray:
@@ -181,7 +184,10 @@ def _kernel_weights(dist2: np.ndarray, config: IbmConfig) -> np.ndarray:
 def _local_moments_dense(
     positions: np.ndarray, orientations: np.ndarray, config: IbmConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs fallback, chunked over rows to bound memory."""
+    """All-pairs reference for _local_moments, chunked over rows to bound memory.
+
+    Not used by the stepper; tests compare the tree path against it.
+    """
     n = positions.shape[0]
     d = positions.shape[1]
     moments = np.empty((n, d, d))
@@ -201,62 +207,35 @@ def _local_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel-weighted sums of omega (x) omega and of the weights.
 
-    Cell lists with cell size >= R: each particle gathers candidates from
-    the 3^d cells around its own under the minimum-image convention, so the
-    cost is O(N) at fixed density.  Falls back to chunked all-pairs when
-    the box is fewer than three cells across, where the offset enumeration
-    would alias cells.  Self pairs are always included, so the weight sum
-    stays positive.
+    A periodic k-d tree lists every pair of particles within R once; the
+    minimum-image distance and the kernel then decide each pair's weight,
+    which is added to both endpoints.  The search radius carries a relative
+    margin of 1e-9 so that rounding in the tree's own distances cannot drop
+    a pair the kernel would keep.  Every particle also counts itself with
+    the weight at distance zero, so the weight sum stays positive.  The
+    cost is O(N) at fixed density, for any box and any d.  The global
+    kernel does not come here: it needs no neighbour search.
     """
     n, d = positions.shape
-    side = int(config.box_length / config.R)
-    if side < 3:
-        return _local_moments_dense(positions, orientations, config)
-    cell_size = config.box_length / side
-    coords = np.minimum((positions / cell_size).astype(np.int64), side - 1)
-    shape = (side,) * d
-    cell_id = np.ravel_multi_index(tuple(coords.T), shape)
-    order = np.argsort(cell_id, kind="stable")
-    sorted_ids = cell_id[order]
-    cell_starts = np.searchsorted(sorted_ids, np.arange(side**d), side="left")
-    cell_counts = np.bincount(cell_id, minlength=side**d)
+    tree = cKDTree(positions, boxsize=config.box_length)
+    pairs = tree.query_pairs(config.R * (1.0 + 1e-9), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    disp = _min_image(positions[i] - positions[j], config.box_length)
+    w = _kernel_weights(np.einsum("pk,pk->p", disp, disp), config)
+    w_self = float(_kernel_weights(np.zeros(1), config)[0])
 
-    moments = np.zeros((n, d, d))
-    wsum = np.zeros(n)
-    idx = np.arange(n)
-    for offset in itertools.product((-1, 0, 1), repeat=d):
-        nbr = np.ravel_multi_index(tuple(((coords + offset) % side).T), shape)
-        cnt = cell_counts[nbr]
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        # Bound the temporary pair arrays, splitting the particle range.
-        block = max(1, int(n * min(1.0, 2**22 / total)))
-        for s in range(0, n, block):
-            e = min(n, s + block)
-            cnt_b = cnt[s:e]
-            tot_b = int(cnt_b.sum())
-            if tot_b == 0:
-                continue
-            pair_i = np.repeat(idx[s:e], cnt_b)
-            base = np.repeat(cell_starts[nbr[s:e]], cnt_b)
-            local = np.arange(tot_b) - np.repeat(np.cumsum(cnt_b) - cnt_b, cnt_b)
-            pair_j = order[base + local]
-            disp = _min_image(positions[pair_i] - positions[pair_j], config.box_length)
-            w = _kernel_weights(np.einsum("pk,pk->p", disp, disp), config)
-            keep = w > 0.0
-            if not keep.any():
-                continue
-            rows = pair_i[keep]
-            om = orientations[pair_j[keep]]
-            wk = w[keep]
-            wsum += np.bincount(rows, weights=wk, minlength=n)
-            for a in range(d):
-                for b in range(a, d):
-                    m_ab = np.bincount(rows, weights=wk * om[:, a] * om[:, b], minlength=n)
-                    moments[:, a, b] += m_ab
-                    if b != a:
-                        moments[:, b, a] += m_ab
+    wsum = w_self + np.bincount(i, weights=w, minlength=n)
+    wsum += np.bincount(j, weights=w, minlength=n)
+    moments = np.empty((n, d, d))
+    om_i = orientations[i]
+    om_j = orientations[j]
+    for a in range(d):
+        for b in range(a, d):
+            m_ab = w_self * orientations[:, a] * orientations[:, b]
+            m_ab += np.bincount(i, weights=w * om_j[:, a] * om_j[:, b], minlength=n)
+            m_ab += np.bincount(j, weights=w * om_i[:, a] * om_i[:, b], minlength=n)
+            moments[:, a, b] = m_ab
+            moments[:, b, a] = m_ab
     return moments, wsum
 
 
@@ -303,7 +282,7 @@ def local_mean_direction(
     degenerate, in which case the stepper applies no alignment drift.
 
     This is the per-particle reference path; the stepper computes the same
-    quantity for all particles at once through cell lists.
+    quantity for all particles at once through a periodic k-d tree.
     """
     disp = _min_image(state.positions - state.positions[i], config.box_length)
     weights = _kernel_weights(np.einsum("nk,nk->n", disp, disp), config)
@@ -346,12 +325,13 @@ def step(
     noise = rng.standard_normal(omega.shape) * math.sqrt(2.0 * config.D * config.dt)
 
     drift0 = _alignment_drift(omega, dirs, config.nu)
-    stage = _unit_rows(omega + config.dt * drift0 + _tangent_rows(omega, noise))
+    noise0 = _tangent_rows(omega, noise)
+    stage = _unit_rows(omega + config.dt * drift0 + noise0)
     drift1 = _alignment_drift(stage, dirs, config.nu)
     combined = (
         omega
         + 0.5 * config.dt * (drift0 + drift1)
-        + 0.5 * (_tangent_rows(omega, noise) + _tangent_rows(stage, noise))
+        + 0.5 * (noise0 + _tangent_rows(stage, noise))
     )
     new_omega = _unit_rows(combined)
     new_pos = _wrap(state.positions + config.dt * omega, config.box_length)

@@ -27,11 +27,14 @@ refinement studies can confirm it.
 
 The rate assembly works on lists of contiguous component planes rather than
 stacked (..., d) arrays: slicing a stacked array per component is strided
-and several times slower, and the stepping loop is the hot path.
+and several times slower, and the stepping loop is the hot path.  Every
+intermediate of a step is written into planes that its MacroConfig keeps
+across steps (_Planes), so a step allocates only the fields it returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +49,6 @@ __all__ = [
     "MacroField",
     "appendix_identity_residual",
     "auxiliary_operator_checks",
-    "density_flux",
     "density_rate",
     "direction_rhs",
     "preprojection_drift",
@@ -63,7 +65,12 @@ class CflViolation(ValueError):
 
 
 class BlowUpDetected(ArithmeticError):
-    """Field magnitudes left the trusted range; ellipticity is not guaranteed."""
+    """Fields left the trusted range; ellipticity is not guaranteed.
+
+    Raised for magnitudes beyond BLOWUP_LIMIT or non-finite values, for a
+    direction that collapses before renormalization, and for a density
+    below the positivity floor.
+    """
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,9 @@ class MacroConfig:
     The stability bound is diffusive: dt <= cfl_safety * dx^2 / c_max with
     c_max the largest of the positive diffusion coefficients (C1..C4, E1,
     F1..F3).  step() refuses configurations that violate it.
+
+    A config also keeps the scratch planes of its steps (_Planes), so two
+    threads should not step with one config at the same time.
     """
 
     coefficients: CoefficientSet
@@ -126,7 +136,7 @@ class MacroConfig:
     dt: float
     cfl_safety: float = 0.25
     spatial_dim: int = 2
-    scheme: str = "rk2"
+    _planes: _Planes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.spatial_dim not in (2, 3):
@@ -136,8 +146,6 @@ class MacroConfig:
                 f"spatial_dim {self.spatial_dim} does not match the "
                 f"coefficient dimension {self.coefficients.d}"
             )
-        if self.scheme != "rk2":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.dx > 0 and self.dt > 0):
             raise ValueError("dx and dt must be positive")
         if not 0 < self.cfl_safety <= 1:
@@ -149,10 +157,37 @@ class MacroConfig:
         c_max = max(self.coefficients.positive_block().values())
         return self.dx**2 / c_max
 
+    def _planes_for(self, shape: tuple[int, ...]) -> _Planes:
+        """This config's planes, replaced when the lattice shape changes."""
+        if self._planes is None or self._planes.shape != shape:
+            object.__setattr__(self, "_planes", _Planes(shape))
+        return self._planes
 
-def _ddx(arr: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    """Centered periodic difference along one lattice axis."""
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * dx)
+
+def _ddx(
+    arr: np.ndarray, axis: int, dx: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Centered periodic difference along one lattice axis.
+
+    The values of (roll(arr, -1) - roll(arr, 1)) / (2 dx), written into out
+    (C-contiguous, not arr) without the two shifted copies.  Along the last
+    axis the interior difference runs over the flat array, which is
+    contiguous, and the two wrapped end columns are then written over.
+    """
+    src = np.ascontiguousarray(arr)
+    if out is None:
+        out = np.empty_like(src)
+    n = src.shape[axis]
+    src3 = src.reshape(math.prod(src.shape[:axis]), n, -1)
+    out3 = out.reshape(src3.shape)
+    if src3.shape[2] == 1:
+        np.subtract(src.ravel()[2:], src.ravel()[:-2], out=out.reshape(-1)[1:-1])
+    else:
+        np.subtract(src3[:, 2:], src3[:, :-2], out=out3[:, 1:-1])
+    np.subtract(src3[:, 1 % n], src3[:, -1], out=out3[:, 0])
+    np.subtract(src3[:, 0], src3[:, (n - 2) % n], out=out3[:, -1])
+    out /= 2.0 * dx
+    return out
 
 
 def _grad_scalar(f: np.ndarray, dx: float) -> np.ndarray:
@@ -178,217 +213,188 @@ def _tangent(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - u * _dot(u, v)[..., None]
 
 
-def _components(v: np.ndarray) -> list[np.ndarray]:
-    """Split a stacked vector field into contiguous component planes."""
-    return [np.ascontiguousarray(v[..., i]) for i in range(v.shape[-1])]
+class _Planes(dict):
+    """Lattice planes by name for the intermediates of a step, kept across
+    the steps of one MacroConfig.
+
+    Allocating some sixty fresh lattice arrays per stage costs time of its
+    own, and glibc may hand the freed top of its heap back to the system at
+    the end of a stage and fault it in again in the next: on a 128^2 lattice
+    an allocating version of this code took 1100-1600 minor page faults per
+    step, the planes none.  Planes are overwritten by the next call, so
+    nothing returned to a caller may be one of them.
+    """
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        super().__init__()
+        self.shape = shape
+
+    def __missing__(self, key) -> np.ndarray:
+        plane = self[key] = np.empty(self.shape)
+        return plane
+
+    def vec(self, name) -> list[np.ndarray]:
+        return [self[name, i] for i in range(len(self.shape))]
 
 
-def _norms_c(u_c: list[np.ndarray]) -> np.ndarray:
-    squared = u_c[0] * u_c[0]
-    for comp in u_c[1:]:
-        squared += comp * comp
-    return np.sqrt(squared)
+def _split(u: np.ndarray, w: _Planes) -> list[np.ndarray]:
+    """Copy a stacked vector field into contiguous component planes."""
+    planes = w.vec("u0")
+    for i, plane in enumerate(planes):
+        np.copyto(plane, u[..., i])
+    return planes
 
 
-def _renormalize_c(u_c: list[np.ndarray], norms: np.ndarray) -> list[np.ndarray]:
+def _sum_of_products(out: np.ndarray, terms, tmp: np.ndarray) -> np.ndarray:
+    """out = a0 b0 + a1 b1 + ..., summed left to right; tmp is scratch."""
+    (a, b), *rest = terms
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += np.multiply(a, b, out=tmp)
+    return out
+
+
+def _remove_along(out, vec, u, along: np.ndarray) -> list[np.ndarray]:
+    """out[i] = vec[i] - u[i] along; the exact projection when along = u.vec."""
+    for o, v, comp in zip(out, vec, u):
+        np.subtract(v, np.multiply(comp, along, out=o), out=o)
+    return out
+
+
+def _norms_into(out: np.ndarray, u: list[np.ndarray], tmp: np.ndarray) -> np.ndarray:
+    _sum_of_products(out, [(comp, comp) for comp in u], tmp)
+    return np.sqrt(out, out=out)
+
+
+def _renormalize_into(out, u: list[np.ndarray], norms: np.ndarray) -> None:
     if float(norms.min()) < 0.5:
         raise BlowUpDetected(
             "direction magnitude collapsed below 0.5 before renormalization"
         )
-    return [comp / norms for comp in u_c]
+    for o, comp in zip(out, u):
+        np.divide(comp, norms, out=o)
 
 
-def _pieces_c(
-    rho: np.ndarray, u_c: list[np.ndarray], dx: float
-) -> tuple[
-    list[np.ndarray],
-    list[list[np.ndarray]],
-    np.ndarray,
-    list[np.ndarray],
-    np.ndarray,
-    list[np.ndarray],
-]:
+def _pieces(rho: np.ndarray, u: list[np.ndarray], dx: float, w: _Planes) -> tuple:
     """Shared first derivatives: (gr, gu, div_u, curv, udr, p_gr).
 
     gr[i] = d_i rho, gu[i][j] = d_i u_j, curv = (u.grad)u, udr = u.grad rho,
     p_gr = P grad rho.
     """
-    d = len(u_c)
-    gr = [_ddx(rho, i, dx) for i in range(d)]
-    gu = [[_ddx(u_c[j], i, dx) for j in range(d)] for i in range(d)]
-    div_u = gu[0][0].copy()
-    for i in range(1, d):
+    d, tmp = len(u), w["tmp"]
+    gr = [_ddx(rho, i, dx, out=w["gr", i]) for i in range(d)]
+    gu = [[_ddx(u[j], i, dx, out=w["gu", i, j]) for j in range(d)] for i in range(d)]
+    div_u = np.add(gu[0][0], gu[1][1], out=w["div_u"])
+    for i in range(2, d):
         div_u += gu[i][i]
-    curv = []
-    for j in range(d):
-        acc = u_c[0] * gu[0][j]
-        for i in range(1, d):
-            acc += u_c[i] * gu[i][j]
-        curv.append(acc)
-    udr = u_c[0] * gr[0]
-    for i in range(1, d):
-        udr += u_c[i] * gr[i]
-    p_gr = [gr[i] - u_c[i] * udr for i in range(d)]
+    curv = [
+        _sum_of_products(w["curv", j], [(u[i], gu[i][j]) for i in range(d)], tmp)
+        for j in range(d)
+    ]
+    udr = _sum_of_products(w["udr"], zip(u, gr), tmp)
+    p_gr = _remove_along(w.vec("p_gr"), gr, u, udr)
     return gr, gu, div_u, curv, udr, p_gr
 
 
-def _flux_c(
-    rho: np.ndarray,
-    u_c: list[np.ndarray],
-    div_u: np.ndarray,
-    curv: list[np.ndarray],
-    udr: np.ndarray,
-    p_gr: list[np.ndarray],
-    coeffs: CoefficientSet,
-) -> list[np.ndarray]:
-    c1_udr = coeffs.C1 * udr
-    c3_rho = coeffs.C3 * rho
-    c4_divr = coeffs.C4 * (div_u * rho)
-    flux = []
-    for i in range(len(u_c)):
-        bracket = c1_udr * u_c[i]
-        bracket += coeffs.C2 * p_gr[i]
-        bracket += c3_rho * curv[i]
-        bracket += c4_divr * u_c[i]
-        flux.append(-bracket)
-    return flux
-
-
-def _flux_divergence_c(flux: list[np.ndarray], dx: float) -> np.ndarray:
-    rate = -_ddx(flux[0], 0, dx)
-    for i in range(1, len(flux)):
-        rate -= _ddx(flux[i], i, dx)
-    return rate
-
-
-def _direction_c(
-    rho: np.ndarray,
-    u_c: list[np.ndarray],
-    dx: float,
-    gu: list[list[np.ndarray]],
-    div_u: np.ndarray,
-    curv: list[np.ndarray],
-    udr: np.ndarray,
-    p_gr: list[np.ndarray],
-    coeffs: CoefficientSet,
-) -> list[np.ndarray]:
-    rho_min = float(rho.min())
-    if rho_min < RHO_FLOOR:
-        raise ValueError(
-            f"density {rho_min:.3e} below positivity floor {RHO_FLOOR:g}"
-        )
-    d = len(u_c)
-
-    def tang(vec: list[np.ndarray]) -> list[np.ndarray]:
-        # exact projection orthogonal to u
-        along = u_c[0] * vec[0]
-        for i in range(1, d):
-            along += u_c[i] * vec[i]
-        return [vec[i] - u_c[i] * along for i in range(d)]
-
-    def matvec(m: list[list[np.ndarray]], v: list[np.ndarray]) -> list[np.ndarray]:
-        # [i] = sum_j m[i][j] v[j]
-        out = []
-        for i in range(d):
-            acc = m[i][0] * v[0]
-            for j in range(1, d):
-                acc += m[i][j] * v[j]
-            out.append(acc)
-        return out
-
-    def vecmat(v: list[np.ndarray], m: list[list[np.ndarray]]) -> list[np.ndarray]:
-        # [j] = sum_i v[i] m[i][j]
-        out = []
-        for j in range(d):
-            acc = v[0] * m[0][j]
-            for i in range(1, d):
-                acc += v[i] * m[i][j]
-            out.append(acc)
-        return out
-
-    curv_t = tang(curv)
-    b_mat = [[gu[i][j] - u_c[i] * curv[j] for j in range(d)] for i in range(d)]
-
-    div_b = [_ddx(b_mat[0][j], 0, dx) for j in range(d)]
-    for i in range(1, d):
-        for j in range(d):
-            div_b[j] += _ddx(b_mat[i][j], i, dx)
-
-    grad_udr = [_ddx(udr, i, dx) for i in range(d)]
-    grad_div = [_ddx(div_u, i, dx) for i in range(d)]
-    # F1 transports the projected curvature: [j] = sum_i u_i d_i curv_t_j
-    f1_inner = []
-    for j in range(d):
-        acc = u_c[0] * _ddx(curv_t[j], 0, dx)
-        for i in range(1, d):
-            acc += u_c[i] * _ddx(curv_t[j], i, dx)
-        f1_inner.append(acc)
-
-    f1_rho = coeffs.F1 * rho
-    f2_rho = coeffs.F2 * rho
-    f3_rho = coeffs.F3 * rho
-    h1_log = coeffs.H1 * udr / rho
-    h2_rho = coeffs.H2 * rho
-    h3_rho = coeffs.H3 * rho
-    h4_rho_div = coeffs.H4 * rho * div_u
-
-    t_e1 = tang(grad_udr)
-    t_f1 = tang(f1_inner)
-    t_f2 = tang(div_b)
-    t_f3 = tang(grad_div)
-    t_g2 = matvec(b_mat, p_gr)
-    t_g3 = tang(vecmat(p_gr, b_mat))
-    t_h2 = matvec(b_mat, curv_t)
-    t_h3 = tang(vecmat(curv_t, b_mat))
-
-    out = []
-    for i in range(d):
-        total = coeffs.E1 * t_e1[i]
-        total += f1_rho * t_f1[i]
-        total += f2_rho * t_f2[i]
-        total += f3_rho * t_f3[i]
-        total += coeffs.G1 * udr * curv_t[i]
-        total += coeffs.G2 * t_g2[i]
-        total += coeffs.G3 * t_g3[i]
-        total += coeffs.G4 * div_u * p_gr[i]
-        total += h1_log * p_gr[i]
-        total += h2_rho * t_h2[i]
-        total += h3_rho * t_h3[i]
-        total += h4_rho_div * curv_t[i]
-        out.append(total / rho)
+def _density_rate_into(out, rho, u, dx, coeffs, pieces, w) -> np.ndarray:
+    """-div J = sum_i d_i bracket_i (J = -bracket) in flux-difference form,
+    so the lattice sum telescopes."""
+    _, _, div_u, curv, udr, p_gr = pieces
+    tmp, bracket = w["tmp"], w["bracket"]
+    c1_udr = np.multiply(coeffs.C1, udr, out=w["c1_udr"])
+    c3_rho = np.multiply(coeffs.C3, rho, out=w["c3_rho"])
+    c4_divr = np.multiply(div_u, rho, out=w["c4_divr"])
+    c4_divr *= coeffs.C4
+    for i in range(len(u)):
+        terms = [(c1_udr, u[i]), (coeffs.C2, p_gr[i]), (c3_rho, curv[i]), (c4_divr, u[i])]
+        _sum_of_products(bracket, terms, tmp)
+        if i == 0:
+            _ddx(bracket, 0, dx, out=out)
+        else:
+            out += _ddx(bracket, i, dx, out=tmp)
     return out
 
 
-def _stage_rates_c(
-    rho: np.ndarray, u_c: list[np.ndarray], dx: float, coeffs: CoefficientSet
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Both time derivatives with the shared gradients computed once."""
-    gr, gu, div_u, curv, udr, p_gr = _pieces_c(rho, u_c, dx)
-    flux = _flux_c(rho, u_c, div_u, curv, udr, p_gr, coeffs)
-    drho = _flux_divergence_c(flux, dx)
-    du = _direction_c(rho, u_c, dx, gu, div_u, curv, udr, p_gr, coeffs)
-    return drho, du
+def _direction_rate_into(out, rho, u, dx, coeffs, pieces, w) -> list[np.ndarray]:
+    """The direction rate of direction_rhs into out; overwrites gu with B.
 
-
-def density_flux(fields: MacroField, coeffs: CoefficientSet) -> np.ndarray:
-    """Mass flux J of the density conservation law, shape grid + (d,).
-
-    With the positive coefficient convention the evolution reads
-    d_t rho = -div J = +div(C1 (u.grad rho) u + C2 P grad rho + ...),
-    so J is minus the coefficient bracket.
+    The projector is linear and commutes with nodewise scalars, so the six
+    P-wrapped terms share one projection, and the G2/H2 and G3/H3 pairs
+    share one contraction with B each, e.g.
+        G3 P(B^T p_gr) + H3 rho P(B^T curv_t) = P(B^T (G3 p_gr + H3 rho curv_t)).
     """
-    u_c = _components(fields.u)
-    _, _, div_u, curv, udr, p_gr = _pieces_c(fields.rho, u_c, fields.dx)
-    flux = _flux_c(fields.rho, u_c, div_u, curv, udr, p_gr, coeffs)
-    return np.stack(flux, axis=-1)
+    rho_min = float(rho.min())
+    if rho_min < RHO_FLOOR:
+        raise BlowUpDetected(
+            f"density {rho_min:.3e} below positivity floor {RHO_FLOOR:g}"
+        )
+    _, b_mat, div_u, curv, udr, p_gr = pieces
+    d = len(u)
+    tmp, tmp2, scaled, along = w["tmp"], w["tmp2"], w["scaled"], w["along"]
+    slot, wrapped = w.vec("slot"), w.vec("wrapped")
+
+    curv_t = _remove_along(
+        w.vec("curv_t"), curv, u, _sum_of_products(along, zip(u, curv), tmp)
+    )
+    for i in range(d):
+        for j in range(d):
+            b_mat[i][j] -= np.multiply(u[i], curv[j], out=tmp)
+
+    # tangent already: B (G2 p_gr + H2 rho curv_t), as B = P grad u has a
+    # tangent first slot, and multiples of curv_t and of p_gr
+    np.multiply(coeffs.H2, rho, out=scaled)
+    for j in range(d):
+        _sum_of_products(slot[j], [(coeffs.G2, p_gr[j]), (scaled, curv_t[j])], tmp)
+    for i in range(d):
+        _sum_of_products(out[i], [(b_mat[i][j], slot[j]) for j in range(d)], tmp)
+    np.multiply(coeffs.H4, rho, out=scaled)
+    scaled *= div_u
+    scaled += np.multiply(coeffs.G1, udr, out=tmp)
+    for i in range(d):
+        out[i] += np.multiply(scaled, curv_t[i], out=tmp)
+    np.multiply(coeffs.H1, udr, out=scaled)
+    scaled /= rho
+    scaled += np.multiply(coeffs.G4, div_u, out=tmp)
+    for i in range(d):
+        out[i] += np.multiply(scaled, p_gr[i], out=tmp)
+
+    # wrapped: B^T (G3 p_gr + H3 rho curv_t), E1 grad(u.grad rho),
+    # F1 rho (u.grad) curv_t, F2 rho div B and F3 rho grad div u
+    np.multiply(coeffs.H3, rho, out=scaled)
+    for j in range(d):
+        _sum_of_products(slot[j], [(coeffs.G3, p_gr[j]), (scaled, curv_t[j])], tmp)
+    for i in range(d):
+        _sum_of_products(wrapped[i], [(slot[j], b_mat[j][i]) for j in range(d)], tmp)
+        wrapped[i] += np.multiply(coeffs.E1, _ddx(udr, i, dx, out=tmp), out=tmp)
+    np.multiply(coeffs.F1, rho, out=scaled)
+    for i in range(d):
+        np.multiply(u[0], _ddx(curv_t[i], 0, dx, out=tmp2), out=tmp2)
+        for k in range(1, d):
+            tmp2 += np.multiply(u[k], _ddx(curv_t[i], k, dx, out=tmp), out=tmp)
+        wrapped[i] += np.multiply(scaled, tmp2, out=tmp2)
+    np.multiply(coeffs.F2, rho, out=scaled)
+    for i in range(d):
+        _ddx(b_mat[0][i], 0, dx, out=tmp2)
+        for k in range(1, d):
+            tmp2 += _ddx(b_mat[k][i], k, dx, out=tmp)
+        wrapped[i] += np.multiply(scaled, tmp2, out=tmp2)
+    np.multiply(coeffs.F3, rho, out=scaled)
+    for i in range(d):
+        wrapped[i] += np.multiply(scaled, _ddx(div_u, i, dx, out=tmp2), out=tmp2)
+    _sum_of_products(along, zip(u, wrapped), tmp)
+    for i in range(d):
+        out[i] += np.subtract(wrapped[i], np.multiply(u[i], along, out=tmp), out=tmp)
+        out[i] /= rho
+    return out
 
 
 def density_rate(fields: MacroField, coeffs: CoefficientSet) -> np.ndarray:
     """d_t rho = -div J in flux-difference form (lattice sum telescopes)."""
-    u_c = _components(fields.u)
-    _, _, div_u, curv, udr, p_gr = _pieces_c(fields.rho, u_c, fields.dx)
-    flux = _flux_c(fields.rho, u_c, div_u, curv, udr, p_gr, coeffs)
-    return _flux_divergence_c(flux, fields.dx)
+    w = _Planes(fields.rho.shape)
+    u = _split(fields.u, w)
+    pieces = _pieces(fields.rho, u, fields.dx, w)
+    out = np.empty(fields.rho.shape)
+    return _density_rate_into(out, fields.rho, u, fields.dx, coeffs, pieces, w)
 
 
 def direction_rhs(fields: MacroField, coeffs: CoefficientSet) -> np.ndarray:
@@ -407,48 +413,69 @@ def direction_rhs(fields: MacroField, coeffs: CoefficientSet) -> np.ndarray:
     the hard positivity floor.  B = P grad u is tangent in its first slot by
     construction; the remaining non-structural terms are P-wrapped.
     """
-    u_c = _components(fields.u)
-    _, gu, div_u, curv, udr, p_gr = _pieces_c(fields.rho, u_c, fields.dx)
-    du = _direction_c(
-        fields.rho, u_c, fields.dx, gu, div_u, curv, udr, p_gr, coeffs
-    )
-    return np.stack(du, axis=-1)
+    w = _Planes(fields.rho.shape)
+    u = _split(fields.u, w)
+    pieces = _pieces(fields.rho, u, fields.dx, w)
+    out = np.empty(fields.u.shape)
+    du = [out[..., i] for i in range(len(u))]
+    _direction_rate_into(du, fields.rho, u, fields.dx, coeffs, pieces, w)
+    return out
 
 
-def _check_in_range_c(rho: np.ndarray, u_c: list[np.ndarray], when: str) -> None:
-    worst = float(np.abs(rho).max())
-    for comp in u_c:
-        worst = max(worst, float(np.abs(comp).max()))
+def _stage_rates(drho, du, rho, u, dx, coeffs, w) -> None:
+    """Both time derivatives with the shared gradients computed once."""
+    pieces = _pieces(rho, u, dx, w)
+    _density_rate_into(drho, rho, u, dx, coeffs, pieces, w)
+    _direction_rate_into(du, rho, u, dx, coeffs, pieces, w)
+
+
+def _check_in_range(rho, u: list[np.ndarray], when: str, tmp: np.ndarray) -> None:
+    worst = max(float(np.abs(x, out=tmp).max()) for x in [rho, *u])
     if not (np.isfinite(worst) and worst <= BLOWUP_LIMIT):
         raise BlowUpDetected(
             f"field magnitude {worst:.3e} outside trusted range {when}"
         )
 
 
+def _unit_defect(norms: np.ndarray, tmp: np.ndarray) -> float:
+    return float(np.abs(np.subtract(norms, 1.0, out=tmp), out=tmp).max())
+
+
 def _heun(fields: MacroField, config: MacroConfig) -> tuple[MacroField, float]:
-    coeffs = config.coefficients
-    dt = config.dt
-    dx = fields.dx
+    coeffs, dt, dx = config.coefficients, config.dt, fields.dx
     rho0 = fields.rho
-    u0 = _components(fields.u)
+    w = config._planes_for(rho0.shape)
+    tmp, norms = w["tmp"], w["norms"]
+    u0 = _split(fields.u, w)
     d = len(u0)
 
-    k1_rho, k1_u = _stage_rates_c(rho0, u0, dx, coeffs)
-    rho_mid = rho0 + dt * k1_rho
-    u_mid = [u0[i] + dt * k1_u[i] for i in range(d)]
-    _check_in_range_c(rho_mid, u_mid, f"in the predictor at t={fields.time:g}")
-    norms_mid = _norms_c(u_mid)
-    drift = float(np.abs(norms_mid - 1.0).max())
+    k1_rho, k1_u = w["k1_rho"], w.vec("k1_u")
+    _stage_rates(k1_rho, k1_u, rho0, u0, dx, coeffs, w)
+    rho_mid = np.multiply(dt, k1_rho, out=w["rho_mid"])
+    rho_mid += rho0
+    u_mid = w.vec("u_mid")
+    for i in range(d):
+        np.multiply(dt, k1_u[i], out=u_mid[i])
+        u_mid[i] += u0[i]
+    _check_in_range(rho_mid, u_mid, f"in the predictor at t={fields.time:g}", tmp)
+    drift = _unit_defect(_norms_into(norms, u_mid, tmp), tmp)
+    u_unit = w.vec("u_unit")
+    _renormalize_into(u_unit, u_mid, norms)
 
-    k2_rho, k2_u = _stage_rates_c(
-        rho_mid, _renormalize_c(u_mid, norms_mid), dx, coeffs
-    )
-    rho_new = rho0 + 0.5 * dt * (k1_rho + k2_rho)
-    u_raw = [u0[i] + 0.5 * dt * (k1_u[i] + k2_u[i]) for i in range(d)]
-    _check_in_range_c(rho_new, u_raw, f"after the step at t={fields.time:g}")
-    norms_raw = _norms_c(u_raw)
-    drift = max(drift, float(np.abs(norms_raw - 1.0).max()))
-    u_new = np.stack(_renormalize_c(u_raw, norms_raw), axis=-1)
+    k2_rho, k2_u = w["k2_rho"], w.vec("k2_u")
+    _stage_rates(k2_rho, k2_u, rho_mid, u_unit, dx, coeffs, w)
+    rho_new = np.add(k1_rho, k2_rho)
+    rho_new *= 0.5 * dt
+    rho_new += rho0
+    u_raw = u_mid
+    for i in range(d):
+        np.add(k1_u[i], k2_u[i], out=u_raw[i])
+        u_raw[i] *= 0.5 * dt
+        u_raw[i] += u0[i]
+    _check_in_range(rho_new, u_raw, f"after the step at t={fields.time:g}", tmp)
+    drift = max(drift, _unit_defect(_norms_into(norms, u_raw, tmp), tmp))
+    u_new = np.empty(fields.u.shape)
+    _renormalize_into([u_new[..., i] for i in range(d)], u_raw, norms)
     out = replace(fields, rho=rho_new, u=u_new, time=fields.time + dt)
     return out, drift
 

@@ -12,7 +12,6 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .constants import GAP_FLOOR
-from .sphere import SphereQuadrature, assert_unit
 
 
 class DegenerateLeadingEigenvalue(Exception):
@@ -47,53 +46,6 @@ def qtensor_from_orientations(
     return second - np.eye(d) / d
 
 
-def qtensor_from_density(f_values: np.ndarray, quad: SphereQuadrature) -> np.ndarray:
-    """Q of an angular density sampled on quadrature nodes (f >= 0, any mass)."""
-    f = np.asarray(f_values, dtype=float)
-    w = quad.weights * f
-    if w.sum() <= 0:
-        raise ValueError("density integrates to zero on the quadrature")
-    return qtensor_from_orientations(quad.nodes, w)
-
-
-def jacobi_eigh(A: np.ndarray, sweeps: int = 30, tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a small symmetric matrix.
-
-    Deterministic sweep order (row-major over the strict upper triangle) so
-    results are bit-reproducible across runs.  Returns (eigenvalues ascending,
-    eigenvector columns).
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol * (abs(A[p, p]) + abs(A[q, q]) + tol):
-                    continue
-                # classical 2x2 rotation zeroing A[p,q]
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-        if off < tol:
-            break
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], V[:, order]
-
-
 def leading_direction(
     Q: np.ndarray,
     prev: np.ndarray | None = None,
@@ -106,7 +58,7 @@ def leading_direction(
     below gap_floor; callers choose their own fallback (the particle stepper
     drops the alignment drift for that particle and step).
     """
-    lam, V = jacobi_eigh(np.asarray(Q, dtype=float))
+    lam, V = np.linalg.eigh(np.asarray(Q, dtype=float))
     gap = float(lam[-1] - lam[-2])
     if gap < gap_floor:
         raise DegenerateLeadingEigenvalue(

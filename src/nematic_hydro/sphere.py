@@ -12,14 +12,14 @@ each carrying half the counting measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gamma, pi, sqrt
 from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .constants import QUAD_TOL, UNIT_TOL
+from .constants import UNIT_TOL
 
 
 def angle_weight_norm(m: int) -> float:
@@ -33,25 +33,6 @@ def assert_unit(v: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
     if abs(norm - 1.0) > tol:
         raise ValueError(f"direction norm {norm!r} deviates from 1 beyond {tol}")
     return v
-
-
-def project_tangent(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component of v orthogonal to the unit vector u: (Id - u(x)u) v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return v - (u @ v) * u
-
-
-def polar_decompose(omega: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Split omega = (omega.u) u + omega_perp; returns (cos_theta, omega_perp)."""
-    omega = np.asarray(omega, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if omega.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {omega.shape} vs {u.shape}")
-    c = float(np.clip(omega @ u, -1.0, 1.0))
-    return c, omega - c * u
 
 
 def complete_basis(axis: np.ndarray) -> np.ndarray:
@@ -162,14 +143,6 @@ def sigma_tensor(u: np.ndarray) -> np.ndarray:
         + np.einsum("ik,jl->ijkl", P, P)
         + np.einsum("il,jk->ijkl", P, P)
     )
-
-
-def is_sym_tensor4(T: np.ndarray, tol: float = QUAD_TOL) -> bool:
-    """Invariance under all 24 permutations of the four indices."""
-    for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3), (3, 1, 2, 0)):
-        if np.max(np.abs(T - np.transpose(T, perm))) > tol:
-            return False
-    return True
 
 
 def angular_moment(

@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.stats import kstest
 
-from .constants import GAP_FLOOR, UNIT_TOL
+from .constants import UNIT_TOL
 from .gci.corrector import CorrectorInputs, gci_vector
 from .gci.equilibrium import make_equilibrium
 from .gci.radial import RadialSolution, strong_defect
@@ -342,7 +341,6 @@ def corrector_channel_residuals(
     inputs: CorrectorInputs,
     bundle: dict[str, RadialSolution],
     kappa: float,
-    D: float = 1.0,
     quad: Optional[SphereQuadrature] = None,
 ) -> dict[str, float]:
     """Sup-norm defect of each corrector channel over quadrature nodes.
@@ -392,11 +390,10 @@ def corrector_residual(
     inputs: CorrectorInputs,
     bundle: dict[str, RadialSolution],
     kappa: float,
-    D: float = 1.0,
     quad: Optional[SphereQuadrature] = None,
 ) -> float:
     """Largest channel defect of the corrector equation at these inputs."""
-    return max(corrector_channel_residuals(inputs, bundle, kappa, D, quad).values())
+    return max(corrector_channel_residuals(inputs, bundle, kappa, quad).values())
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +415,28 @@ class EquilibriumStats:
     order_parameter: float
 
 
-def aligned_marginal_cdf(kappa: float, d: int, n_grid: int = 8192) -> Callable[[np.ndarray], np.ndarray]:
-    """CDF of r = omega.u under the aligned equilibrium.
+_POLAR_GRID = 8192
+"""Intervals of the uniform polar-angle grid behind the aligned marginal."""
 
-    The marginal density in r carries the (1-r^2)^{(d-3)/2} surface factor,
-    singular at the poles for d = 2; integrating in the polar angle instead
-    keeps the integrand bounded for every d >= 2.
+
+def _polar_angle_table(kappa: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polar angles on [0, pi] and the aligned-equilibrium CDF at each.
+
+    The marginal density in r = cos(theta) carries the (1-r^2)^{(d-3)/2}
+    surface factor, singular at the poles for d = 2; integrating in the
+    polar angle instead keeps the integrand bounded for every d >= 2.  The
+    CDF is the trapezoid rule, normalized to end at exactly 1.
     """
-    theta = np.linspace(0.0, math.pi, n_grid + 1)
+    theta = np.linspace(0.0, math.pi, _POLAR_GRID + 1)
     density = np.exp(0.5 * kappa * np.cos(theta) ** 2) * np.sin(theta) ** (d - 2)
-    if d == 2:
-        # endpoint values sin^0 = 1 are fine; nothing singular in theta
-        pass
     cum = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(theta))])
     cum /= cum[-1]
+    return theta, cum
+
+
+def aligned_marginal_cdf(kappa: float, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """CDF of r = omega.u under the aligned equilibrium."""
+    theta, cum = _polar_angle_table(kappa, d)
 
     def cdf(x: np.ndarray) -> np.ndarray:
         t = np.arccos(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
@@ -461,6 +466,8 @@ def ibm_equilibrium_statistics(config: IbmConfig, T: float) -> EquilibriumStats:
     info = leading_direction(q_tensor)
     samples = state.orientations @ info.direction
     kappa = config.nu / config.D
+    from scipy.stats import kstest  # slow to import; only this study needs it
+
     ks = float(kstest(samples, aligned_marginal_cdf(kappa, config.d)).statistic)
     return EquilibriumStats(
         ks_statistic=ks,
@@ -514,10 +521,7 @@ def _sample_aligned_orientations(
     """Draws from the aligned equilibrium by inverse CDF in the polar angle."""
     u = assert_unit(np.asarray(u, dtype=float), UNIT_TOL)
     d = u.size
-    theta_grid = np.linspace(0.0, math.pi, 8193)
-    dens = np.exp(0.5 * kappa * np.cos(theta_grid) ** 2) * np.sin(theta_grid) ** (d - 2)
-    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(theta_grid))])
-    cum /= cum[-1]
+    theta_grid, cum = _polar_angle_table(kappa, d)
     theta = np.interp(gen.random(n), cum, theta_grid)
     r = np.cos(theta)
     basis = complete_basis(u)  # (d, d-1)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nematic_hydro
 from nematic_hydro.cli_io import cli
 from nematic_hydro.cli_io.config import ConfigError, parse_config, serialize_config
 from nematic_hydro.cli_io.output import (
@@ -298,6 +303,12 @@ class TestMain:
         assert code == 2
         assert "no row" in capsys.readouterr().err
 
+    def test_macro_nonpositive_initial_density_exit_2(self, tmp_path, capsys):
+        text = "[macro]\nkappa = 4.0\nd = 2\ngrid_n = 16\nT = 1e-3\namplitude = 1.5\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["macro", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "density must be positive" in capsys.readouterr().err
+
     def test_validate_scaling_suite(self, tmp_path):
         cfg = write_cfg(tmp_path, "[validate]\neps = 0.2, 0.1\n")
         out = tmp_path / "out"
@@ -314,3 +325,14 @@ class TestMain:
     def test_validate_requires_suite(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["validate"])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the equilibrium study needs it
+    src = str(Path(nematic_hydro.__file__).resolve().parents[1])
+    code = "import sys, nematic_hydro.cli_io.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"

@@ -12,6 +12,7 @@ from nematic_hydro.ibm import (
     _local_moments_dense,
     _mean_directions,
     _stream,
+    _wrap,
     coarse_grain,
     initial_state,
     local_mean_direction,
@@ -117,8 +118,13 @@ def test_run_argument_validation():
 
 
 @pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])
-def test_cell_list_matches_dense_moments_2d(kernel):
-    cfg = base_config(N=400, nu=1.0, D=0.1, R=0.11, kernel=kernel, dt=1e-3, seed=5)
+@pytest.mark.parametrize(
+    "box_length,R", [(1.0, 0.11), (1.0, 0.4)], ids=["wide-box", "small-box"]
+)
+def test_tree_matches_dense_moments_2d(box_length, R, kernel):
+    cfg = base_config(
+        N=400, nu=1.0, D=0.1, R=R, kernel=kernel, box_length=box_length, dt=1e-3, seed=5
+    )
     st = initial_state(cfg)
     m1, w1 = _local_moments(st.positions, st.orientations, cfg)
     m2, w2 = _local_moments_dense(st.positions, st.orientations, cfg)
@@ -126,13 +132,37 @@ def test_cell_list_matches_dense_moments_2d(kernel):
     assert np.abs(w1 - w2).max() < 1e-12
 
 
-def test_cell_list_matches_dense_moments_3d():
-    cfg = base_config(N=500, d=3, nu=1.0, D=0.1, R=0.15, dt=1e-3, seed=6)
+@pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])
+def test_tree_matches_dense_moments_3d(kernel):
+    cfg = base_config(N=500, d=3, nu=1.0, D=0.1, R=0.15, kernel=kernel, dt=1e-3, seed=6)
     st = initial_state(cfg)
     m1, w1 = _local_moments(st.positions, st.orientations, cfg)
     m2, w2 = _local_moments_dense(st.positions, st.orientations, cfg)
     assert np.abs(m1 - m2).max() < 1e-12
     assert np.abs(w1 - w2).max() < 1e-12
+
+
+def test_tree_keeps_a_pair_at_the_kernel_radius():
+    # this pair sits at distance R up to rounding; the indicator kernel
+    # counts it, while cKDTree's own distance test at radius R drops it
+    cfg = base_config(N=2, d=3, R=0.27501292362521723)
+    positions = np.array([
+        [0.47614707196875306, 0.8637862410970849, 0.7015685660618728],
+        [0.32579322912834663, 0.775211512802811, 0.4890118733617663],
+    ])
+    omega = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    m1, w1 = _local_moments(positions, omega, cfg)
+    m2, w2 = _local_moments_dense(positions, omega, cfg)
+    assert np.array_equal(w2, [2.0, 2.0])
+    assert np.array_equal(w1, w2)
+    assert np.abs(m1 - m2).max() < 1e-12
+
+
+def test_wrap_keeps_tiny_negative_coordinates_inside_the_box():
+    box = math.sqrt(50.0)
+    wrapped = _wrap(np.array([[-1e-17, 0.5]]), box)
+    assert np.array_equal(wrapped, np.array([[0.0, 0.5]]))
+    ParticleState(wrapped, np.array([[1.0, 0.0]])).validate(box)
 
 
 @pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from nematic_hydro.qtensor import (
     DegenerateLeadingEigenvalue,
     equilibrium_eigenvalues,
-    jacobi_eigh,
     leading_direction,
     qtensor_from_orientations,
 )
@@ -55,17 +54,6 @@ def test_weights_must_be_usable(rng):
         qtensor_from_orientations(omega, weights=np.zeros(10))
     with pytest.raises(ValueError):
         qtensor_from_orientations(omega[:0])
-
-
-def test_jacobi_matches_reference_eigenvalues(rng):
-    for _ in range(20):
-        m = rng.standard_normal((4, 4))
-        m = 0.5 * (m + m.T)
-        vals, vecs = jacobi_eigh(m)
-        ref = np.linalg.eigvalsh(m)
-        assert np.abs(np.sort(vals) - ref).max() < 1e-12
-        recon = vecs @ np.diag(vals) @ vecs.T
-        assert np.abs(recon - m).max() < 1e-12
 
 
 def test_leading_direction_deterministic_sign(rng):
