@@ -184,13 +184,8 @@ def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
         coefficients = compute_coefficients(
             solve_bundle(kappa, d, p["n_profile"]), kappa, d
         )
-    c_max = max(coefficients.positive_block().values())
-    dt = p["cfl_safety"] * field.dx**2 / c_max
-    macro_cfg = MacroConfig(
-        coefficients=coefficients, dx=field.dx, dt=dt,
-        cfl_safety=min(1.0, p["cfl_safety"] * 1.01), spatial_dim=d,
-    )
-    n_steps = max(1, int(round(p["T"] / dt)))
+    macro_cfg = MacroConfig.at_cfl(coefficients, field.dx, p["cfl_safety"])
+    n_steps = max(1, int(round(p["T"] / macro_cfg.dt)))
     snap_at = sorted(set(np.linspace(0, n_steps, p["snapshots"] + 1).round().astype(int)))
     chash = config_hash(cfg_text)
     mid = (slice(None),) + (p["grid_n"] // 2,) * (d - 1)
@@ -221,10 +216,8 @@ def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
 
 def _validate_scaling(p: dict, chash: str, out: Path) -> None:
     f = rotating_equilibrium_family(p["kappa"], 2)
-    report = eps_expansion_study(f, None, 1.0, p["eps"], d=2)
-    control = eps_expansion_study(
-        f, None, 1.0, [e / 2 for e in p["eps"]], d=2, asymmetry=0.5
-    )
+    report = eps_expansion_study(f, p["eps"], d=2)
+    control = eps_expansion_study(f, [e / 2 for e in p["eps"]], d=2, asymmetry=0.5)
     write_json(out / "scaling_report.json", {
         "suite": "scaling",
         "slope": report.slope,
@@ -280,9 +273,7 @@ def _validate_corrector(p: dict, chash: str, out: Path) -> None:
     for n in resolutions:
         channels = corrector_channel_residuals(inputs, solve_bundle(kappa, d, n), kappa)
         rows.append([n, max(channels.values()), *channels.values()])
-    names = list(corrector_channel_residuals(
-        inputs, solve_bundle(kappa, d, resolutions[0]), kappa
-    ))
+    names = list(channels)
     write_json(out / "corrector_report.json", {
         "suite": "corrector",
         "residual": rows[-1][1],

@@ -2,8 +2,8 @@
 
 Grammar: one `[section]` header naming the subcommand, then `key = value`
 lines; `#` starts a comment anywhere; blank lines ignored.  Every key is
-declared in a per-subcommand schema with a type (int, real, string, bool, or
-a comma-separated list of int/real) and an optional positivity constraint;
+declared in a per-subcommand schema with a type (int, real, string, or a
+comma-separated list of int/real) and an optional positivity constraint;
 unknown keys are rejected.  parse -> serialize -> parse is the identity.
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-Value = Union[int, float, str, bool, tuple]
+Value = Union[int, float, str, tuple]
 
 
 class ConfigError(ValueError):
@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    type: str  # int | real | string | bool | int_list | real_list
+    type: str  # int | real | string | int_list | real_list
     required: bool = False
     default: Value = None
     positive: bool = False
@@ -115,9 +115,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
 }
 
-SUBCOMMANDS = tuple(SCHEMAS)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Typed parameters for one subcommand, plus seed and output directory."""
@@ -158,12 +155,6 @@ def _parse_scalar(token: str, kind: str, key: str, line_no: int) -> Value:
             raise ConfigError(
                 "type-mismatch", line_no, f"key {key!r} expects a real number, got {token!r}"
             ) from None
-    if kind == "bool":
-        if token in ("true", "false"):
-            return token == "true"
-        raise ConfigError(
-            "type-mismatch", line_no, f"key {key!r} expects true or false, got {token!r}"
-        )
     return token  # string
 
 
@@ -197,7 +188,6 @@ def parse_config(text: str) -> RunConfig:
     """Typed RunConfig from config text, or the first diagnostic found."""
     subcommand = None
     values: dict[str, Value] = {}
-    line_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -234,7 +224,6 @@ def parse_config(text: str) -> RunConfig:
         value = _parse_value(token, spec, key, line_no)
         _check_value(value, spec, key, line_no)
         values[key] = value
-        line_of[key] = line_no
     if subcommand is None:
         raise ConfigError("section", 0, "no [section] header found")
     schema = SCHEMAS[subcommand]
@@ -251,8 +240,6 @@ def parse_config(text: str) -> RunConfig:
 def _format_value(value: Value) -> str:
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

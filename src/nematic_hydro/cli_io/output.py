@@ -205,7 +205,5 @@ def load_coefficient_row(path: Path, kappa: float, d: int) -> CoefficientSet:
             values = {
                 name: float(cells[idx[f"theorem_{name}"]]) for name in _TABLE_NAMES
             }
-            return CoefficientSet(
-                kappa=float(kappa), d=int(d), provenance="theorem_form", **values
-            )
+            return CoefficientSet(kappa=float(kappa), d=int(d), **values)
     raise ValueError(f"no row with kappa={kappa}, d={d} in {path}")

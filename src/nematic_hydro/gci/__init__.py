@@ -6,8 +6,7 @@ from .radial import (
     ALL_KINDS,
     RadialSolution,
     solve_bundle,
-    solve_dirichlet_type_bvp,
-    solve_neumann_type_bvp,
+    solve_profile,
     strong_residual,
 )
 from .coefficients import (
@@ -33,8 +32,7 @@ __all__ = [
     "make_equilibrium",
     "max_discrepancy",
     "solve_bundle",
-    "solve_dirichlet_type_bvp",
-    "solve_neumann_type_bvp",
+    "solve_profile",
     "strong_residual",
     "transport_source",
 ]

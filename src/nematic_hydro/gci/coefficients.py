@@ -54,7 +54,6 @@ class CoefficientSet:
 
     kappa: float
     d: int
-    provenance: str  # "theorem_form" | "derivation_form"
     C1: float
     C2: float
     C3: float
@@ -116,13 +115,13 @@ def _validate_bundle(bundle: dict[str, RadialSolution], kappa: float, d: int) ->
         raise ValueError("coefficient formulas require kappa > 0")
 
 
-def _export(raw: dict[str, float], aux_raw: dict[str, float], kappa: float, d: int,
-            provenance: str) -> CoefficientSet:
+def _export(
+    raw: dict[str, float], aux_raw: dict[str, float], kappa: float, d: int
+) -> CoefficientSet:
     flipped = {n: -raw[n] for n in COEFFICIENT_NAMES if n != "C0"}
     return CoefficientSet(
         kappa=float(kappa),
         d=int(d),
-        provenance=provenance,
         C0=raw["C0"],
         aux_k_over_cos=-aux_raw["k_over_cos"],
         aux_a_over_kappa=-aux_raw["a_over_kappa"],
@@ -196,16 +195,16 @@ def compute_coefficients(
         "a_over_kappa": avg_s(a / kappa),
         "ke_combination": avg_s((kappa * k + e) * ct + kp),
     }
-    return _export(raw, aux, kappa, d, "theorem_form")
+    return _export(raw, aux, kappa, d)
 
 
 def compute_coefficients_derivation(
-    bundle: dict[str, RadialSolution], kappa: float, d: int, n_quad: int = DEFAULT_N_QUAD
+    bundle: dict[str, RadialSolution], kappa: float, d: int
 ) -> CoefficientSet:
     """Building-block route on Gauss-Jacobi((d-3)/2) nodes in r."""
     _validate_bundle(bundle, kappa, d)
     alpha = (d - 3) / 2.0
-    rj, wj = roots_jacobi(n_quad, alpha, alpha)
+    rj, wj = roots_jacobi(DEFAULT_N_QUAD, alpha, alpha)
     E = np.exp(0.5 * kappa * rj**2)
     Z = float((wj * E).sum())
 
@@ -272,4 +271,4 @@ def compute_coefficients_derivation(
         "a_over_kappa": B12 / C0,
         "ke_combination": (A13 + B43 + B51) / C0,
     }
-    return _export(raw, aux, kappa, d, "derivation_form")
+    return _export(raw, aux, kappa, d)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..constants import UNIT_TOL
 from ..sphere import assert_unit
 from .equilibrium import Equilibrium
 from .radial import RadialSolution
@@ -33,7 +32,7 @@ def gci_vector(h_sol: RadialSolution, u: np.ndarray, omega: np.ndarray) -> np.nd
         raise ValueError(f"gci_vector needs the h profile, got {h_sol.kind!r}")
     u = np.asarray(u, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    assert_unit(u, UNIT_TOL)
+    assert_unit(u)
     r = omega @ u
     omega_perp = omega - np.multiply.outer(r, u)
     return omega_perp * np.expand_dims(h_sol(r), -1)
@@ -61,7 +60,7 @@ class CorrectorInputs:
         d = self.u.shape[0]
         if self.grad_rho.shape != (d,) or self.grad_u.shape != (d, d):
             raise ValueError("gradient shapes do not match the direction dimension")
-        assert_unit(self.u, UNIT_TOL)
+        assert_unit(self.u)
         defect = float(np.max(np.abs(self.grad_u @ self.u)))
         if defect > TANGENCY_TOL:
             raise ValueError(f"(grad u) u = 0 violated by {defect:.2e}")

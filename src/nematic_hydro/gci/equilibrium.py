@@ -33,8 +33,12 @@ class Equilibrium:
         return self.kappa * np.asarray(r, dtype=float)
 
 
+_N_QUAD = 256
+"""Nodes of the Gauss-Jacobi rule behind Z."""
+
+
 @lru_cache(maxsize=None)
-def make_equilibrium(kappa: float, d: int, n_quad: int = 256) -> Equilibrium:
+def make_equilibrium(kappa: float, d: int) -> Equilibrium:
     """Compute Z = int exp((kappa/2) r^2) d(omega) by a Gauss rule.
 
     The radial rule is exact for the (1-r^2)^{(d-3)/2} measure; the Jacobi
@@ -47,6 +51,6 @@ def make_equilibrium(kappa: float, d: int, n_quad: int = 256) -> Equilibrium:
     if d < 2:
         raise ValueError("d >= 2 required")
     alpha = (d - 3) / 2.0
-    r, w = roots_jacobi(n_quad, alpha, alpha)
+    r, w = roots_jacobi(_N_QUAD, alpha, alpha)
     Z = float(w @ np.exp(0.5 * kappa * r**2)) / angle_weight_norm(d - 2)
     return Equilibrium(kappa=float(kappa), d=int(d), Z=Z)

@@ -57,9 +57,7 @@ class RadialSolution:
     """Profile values on the graded vertex grid, with projected derivatives.
 
     grid is ascending in r; values and derivative_values are nodal arrays on
-    it.  parity is 'odd' or 'even'; space_tag names the weighted space the
-    profile lives in by its two exponents (mu for the value weight, nu for the
-    derivative weight), 'zero-mean' marking the gauge-fixed pair.
+    it.  The parity of each kind is fixed (h, c, e, k odd; a, b even).
     """
 
     kind: str
@@ -69,8 +67,6 @@ class RadialSolution:
     grid: np.ndarray
     values: np.ndarray
     derivative_values: np.ndarray
-    parity: str
-    space_tag: str
     _value_spline: CubicSpline | None = field(default=None, repr=False)
     _deriv_spline: CubicSpline | None = field(default=None, repr=False)
 
@@ -85,23 +81,7 @@ class RadialSolution:
         return self._deriv_spline(r)
 
 
-_SPACE_EXPONENTS = {
-    "h": (lambda d: (d - 1) / 2, lambda d: (d + 1) / 2),
-    "a": (lambda d: (d - 1) / 2, lambda d: (d + 1) / 2),
-    "b": (lambda d: (d - 1) / 2, lambda d: (d + 1) / 2),
-    "e": (lambda d: (d + 1) / 2, lambda d: (d + 3) / 2),
-    "c": (0.0, lambda d: (d - 1) / 2),
-    "k": (0.0, lambda d: (d - 1) / 2),
-}
-
 _PARITY = {"h": "odd", "a": "even", "b": "even", "c": "odd", "e": "odd", "k": "odd"}
-
-
-def _space_tag(kind: str, d: int) -> str:
-    if kind in ("c", "k"):
-        return f"zero-mean H(0, {(d - 1) / 2})"
-    mu, nu = _SPACE_EXPONENTS[kind]
-    return f"H({mu(d)}, {nu(d)})"
 
 
 def _lagrange_basis(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -140,9 +120,7 @@ def _rhs(kind: str, rq: np.ndarray, e_sol: RadialSolution | None) -> np.ndarray:
         return np.ones_like(rq)
     if kind == "b":
         return rq**2
-    if e_sol is None:
-        raise ValueError("kind 'k' requires the matching e profile")
-    return -2.0 * e_sol(rq)
+    return -2.0 * e_sol(rq)  # kind 'k'; solve_profile checked e_sol
 
 
 def _element_quadrature(n_el: int) -> tuple[np.ndarray, ...]:
@@ -244,14 +222,12 @@ def _make_solution(kind: str, kappa: float, d: int, n: int, e_sol: RadialSolutio
         grid=_reflect(r, "odd"),
         values=_reflect(u[::p], parity),
         derivative_values=_reflect(du[::p], "even" if parity == "odd" else "odd"),
-        parity=parity,
-        space_tag=_space_tag(kind, d),
     )
 
 
-def _validate_problem(kind: str, allowed: tuple[str, ...], kappa: float, d: int, n: int) -> None:
-    if kind not in allowed:
-        raise ValueError(f"kind {kind!r} not one of {allowed}")
+def _validate_problem(kind: str, kappa: float, d: int, n: int) -> None:
+    if kind not in ALL_KINDS:
+        raise ValueError(f"kind {kind!r} not one of {ALL_KINDS}")
     if kappa < 0:
         raise ValueError("kappa >= 0 required")
     if d < 2:
@@ -262,33 +238,29 @@ def _validate_problem(kind: str, allowed: tuple[str, ...], kappa: float, d: int,
         raise ValueError("n must be even so that r = 0 is an element vertex")
 
 
-def solve_dirichlet_type_bvp(kind: str, kappa: float, d: int, n: int) -> RadialSolution:
-    """Solve one of the coercive profiles h, a, b, e on n elements."""
-    _validate_problem(kind, DIRICHLET_KINDS, kappa, d, n)
-    return _make_solution(kind, kappa, d, n, None)
-
-
-def solve_neumann_type_bvp(
+def solve_profile(
     kind: str, kappa: float, d: int, n: int, e_sol: RadialSolution | None = None
 ) -> RadialSolution:
-    """Solve c or k (pure-divergence operator, zero-mean gauge by oddness).
+    """Solve one of the six profiles h, a, b, c, e, k on n elements.
 
-    kind 'k' consumes the matching e profile for its right-hand side.
+    kind 'k' consumes the matching e profile for its right-hand side; the
+    other kinds ignore e_sol.
     """
-    _validate_problem(kind, NEUMANN_KINDS, kappa, d, n)
-    if kind == "k":
-        if e_sol is None or e_sol.kind != "e":
-            raise ValueError("kind 'k' requires e_sol of kind 'e'")
-        if (e_sol.kappa, e_sol.d) != (float(kappa), int(d)):
-            raise ValueError("e_sol was solved at different (kappa, d)")
-    return _make_solution(kind, kappa, d, n, e_sol if kind == "k" else None)
+    _validate_problem(kind, kappa, d, n)
+    if kind != "k":
+        return _make_solution(kind, kappa, d, n, None)
+    if e_sol is None or e_sol.kind != "e":
+        raise ValueError("kind 'k' requires e_sol of kind 'e'")
+    if (e_sol.kappa, e_sol.d) != (float(kappa), int(d)):
+        raise ValueError("e_sol was solved at different (kappa, d)")
+    return _make_solution(kind, kappa, d, n, e_sol)
 
 
 def solve_bundle(kappa: float, d: int, n: int) -> dict[str, RadialSolution]:
-    """All six profiles at shared (kappa, d, n)."""
-    out = {k: solve_dirichlet_type_bvp(k, kappa, d, n) for k in DIRICHLET_KINDS}
-    out["c"] = solve_neumann_type_bvp("c", kappa, d, n)
-    out["k"] = solve_neumann_type_bvp("k", kappa, d, n, e_sol=out["e"])
+    """All six profiles at shared (kappa, d, n); e is solved before k."""
+    out: dict[str, RadialSolution] = {}
+    for kind in ALL_KINDS:
+        out[kind] = solve_profile(kind, kappa, d, n, e_sol=out.get("e"))
     return out
 
 
@@ -312,18 +284,16 @@ def _vertex_fit_derivatives(r: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, .
 
 
 def strong_defect(
-    sol: RadialSolution,
-    e_sol: RadialSolution | None = None,
-    interior: float = INTERIOR_MASK,
+    sol: RadialSolution, e_sol: RadialSolution | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise strong-form defect L(phi) - f over interior vertices.
 
-    Returns (r, defect) restricted to |r| <= interior, where vertex values
-    superconverge and the sliding-fit derivatives are reliable.
+    Returns (r, defect) restricted to |r| <= INTERIOR_MASK, where vertex
+    values superconverge and the sliding-fit derivatives are reliable.
     """
     rr, v, v1, v2 = _vertex_fit_derivatives(sol.grid, sol.values)
     kappa, d = sol.kappa, sol.d
-    mask = np.abs(rr) <= interior
+    mask = np.abs(rr) <= INTERIOR_MASK
     rr, v, v1, v2 = rr[mask], v[mask], v1[mask], v2[mask]
     s2 = 1.0 - rr**2
     if sol.kind in ("h", "a", "b"):
@@ -343,10 +313,6 @@ def strong_defect(
     return rr, L - f
 
 
-def strong_residual(
-    sol: RadialSolution,
-    e_sol: RadialSolution | None = None,
-    interior: float = INTERIOR_MASK,
-) -> float:
-    """Sup-norm defect of the strong ODE over interior vertices |r| <= interior."""
-    return float(np.max(np.abs(strong_defect(sol, e_sol, interior)[1])))
+def strong_residual(sol: RadialSolution, e_sol: RadialSolution | None = None) -> float:
+    """Sup-norm defect of the strong ODE over interior vertices |r| <= INTERIOR_MASK."""
+    return float(np.max(np.abs(strong_defect(sol, e_sol)[1])))

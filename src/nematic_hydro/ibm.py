@@ -158,8 +158,16 @@ def _min_image(disp: np.ndarray, box_length: float) -> np.ndarray:
     return disp - box_length * np.round(disp / box_length)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; over d columns a loop beats einsum several times."""
+    out = a[:, 0] * b[:, 0]
+    for i in range(1, a.shape[1]):
+        out += a[:, i] * b[:, i]
+    return out
+
+
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    norms = np.sqrt(_row_dots(vectors, vectors))[:, None]
     if norms.min() < 1e-6:
         raise ArithmeticError(
             "orientation update collapsed to the origin; "
@@ -296,12 +304,12 @@ def local_mean_direction(
 def _alignment_drift(omega: np.ndarray, dirs: np.ndarray, nu: float) -> np.ndarray:
     # nu (omega.obar) P_perp obar; even in obar, so the eigenvector sign
     # chosen by the decomposition cannot influence the dynamics.
-    c = np.einsum("ni,ni->n", omega, dirs)[:, None]
+    c = _row_dots(omega, dirs)[:, None]
     return nu * c * (dirs - c * omega)
 
 
 def _tangent_rows(omega: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return vectors - np.einsum("ni,ni->n", omega, vectors)[:, None] * omega
+    return vectors - _row_dots(omega, vectors)[:, None] * omega
 
 
 def step(

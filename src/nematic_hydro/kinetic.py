@@ -22,6 +22,7 @@ entropy sum f_i^2 / M_i mu_i non-increasing step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,21 +35,22 @@ from .sphere import angle_weight_norm
 
 MASS_TOL = 1e-10
 
-_measure_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
-
+@lru_cache(maxsize=None)
 def _cell_integrals(n: int, d: int, cos_power: int) -> np.ndarray:
-    """Per-cell integrals of cos^p(theta) sin^{d-2}(theta)/W_{d-2}, exact."""
-    key = (n, d, cos_power)
-    if key not in _measure_cache:
-        edges = np.linspace(0.0, np.pi, n + 1)
-        xg, wg = leggauss(16)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        tq = mid[:, None] + half * xg[None, :]
-        vals = np.cos(tq) ** cos_power * np.sin(tq) ** (d - 2)
-        _measure_cache[key] = half * (wg[None, :] * vals).sum(axis=1) / angle_weight_norm(d - 2)
-    return _measure_cache[key]
+    """Per-cell integrals of cos^p(theta) sin^{d-2}(theta)/W_{d-2}, exact.
+
+    Cached per argument tuple and shared by every caller, hence read-only.
+    """
+    edges = np.linspace(0.0, np.pi, n + 1)
+    xg, wg = leggauss(16)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1] - edges[0])
+    tq = mid[:, None] + half * xg[None, :]
+    vals = np.cos(tq) ** cos_power * np.sin(tq) ** (d - 2)
+    out = half * (wg[None, :] * vals).sum(axis=1) / angle_weight_norm(d - 2)
+    out.setflags(write=False)
+    return out
 
 
 def cell_measures(n: int, d: int) -> np.ndarray:
@@ -86,12 +88,17 @@ class AngularDensity:
     def mass(self) -> float:
         return float(self.values @ self.measures)
 
-    def validate(self, tol: float = MASS_TOL) -> None:
+    def validate(self) -> None:
         if np.any(self.values < 0):
             raise ValueError("density has negative cells")
         drift = abs(self.mass() - 1.0)
-        if drift > tol:
-            raise ValueError(f"mass {1.0 + drift:.3e} deviates from 1 beyond {tol}")
+        if drift > MASS_TOL:
+            raise ValueError(f"mass {1.0 + drift:.3e} deviates from 1 beyond {MASS_TOL}")
+
+
+def _centre_weights(f: AngularDensity, kappa: float) -> np.ndarray:
+    """E = exp(kappa cos^2(theta) / 2) at the cell centres of f's grid."""
+    return np.exp(0.5 * kappa * np.cos(f.theta_centers) ** 2)
 
 
 def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
@@ -101,7 +108,7 @@ def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
     stationary under the discrete operator.
     """
     f = AngularDensity(d=d, values=np.ones(n))
-    E = np.exp(0.5 * kappa * np.cos(f.theta_centers) ** 2)
+    E = _centre_weights(f, kappa)
     return AngularDensity(d=d, values=E / (E @ f.measures))
 
 
@@ -158,8 +165,7 @@ def gamma_apply(
     _resolve_axis(f, u_policy)
     n = f.n
     dtheta = np.pi / n
-    E = np.exp(0.5 * kappa * np.cos(f.theta_centers) ** 2)
-    g = f.values / E
+    g = f.values / _centre_weights(f, kappa)
     flux = D * _face_weights(n, f.d, kappa) * np.diff(g) / dtheta
     rate_mass = np.zeros(n)
     rate_mass[:-1] += flux
@@ -183,7 +189,7 @@ def evolve(
     n = f0.n
     dtheta = np.pi / n
     mu = f0.measures
-    E = np.exp(0.5 * kappa * np.cos(f0.theta_centers) ** 2)
+    E = _centre_weights(f0, kappa)
     w = dt * D * _face_weights(n, f0.d, kappa) / dtheta
 
     ab = np.zeros((2, n))
@@ -214,7 +220,7 @@ def entropy_dissipation(
     n = f.n
     dtheta = np.pi / n
     Z = make_equilibrium(kappa, f.d).Z
-    E = np.exp(0.5 * kappa * np.cos(f.theta_centers) ** 2)
+    E = _centre_weights(f, kappa)
     if form == "rhs":
         g = f.values / E
         w = _face_weights(n, f.d, kappa)
@@ -228,7 +234,7 @@ def entropy_dissipation(
 def quadratic_entropy(f: AngularDensity, kappa: float) -> float:
     """Discrete integral of f^2 / M_u; its decay rate is the dissipation."""
     Z = make_equilibrium(kappa, f.d).Z
-    E = np.exp(0.5 * kappa * np.cos(f.theta_centers) ** 2)
+    E = _centre_weights(f, kappa)
     return Z * float((f.values**2 / E) @ f.measures)
 
 

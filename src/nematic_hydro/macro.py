@@ -119,13 +119,21 @@ class MacroField:
             raise ValueError(f"direction norms deviate from 1 by {worst:.3e}")
 
 
+def _cfl_bound(coefficients: CoefficientSet, dx: float, cfl_safety: float) -> float:
+    """cfl_safety * dx^2 / c_max, c_max the largest positive diffusion coefficient."""
+    c_max = max(coefficients.positive_block().values())
+    return cfl_safety * dx**2 / c_max
+
+
 @dataclass(frozen=True)
 class MacroConfig:
     """Time-integration parameters tied to one CoefficientSet.
 
-    The stability bound is diffusive: dt <= cfl_safety * dx^2 / c_max with
+    The lattice dimension is the coefficient dimension d, 2 or 3.  The
+    stability bound is diffusive: dt <= cfl_safety * dx^2 / c_max with
     c_max the largest of the positive diffusion coefficients (C1..C4, E1,
-    F1..F3).  step() refuses configurations that violate it.
+    F1..F3).  step() refuses configurations that violate it; at_cfl()
+    builds the one whose dt is that bound.
 
     A config also keeps the scratch planes of its steps (_Planes), so two
     threads should not step with one config at the same time.
@@ -135,27 +143,22 @@ class MacroConfig:
     dx: float
     dt: float
     cfl_safety: float = 0.25
-    spatial_dim: int = 2
     _planes: _Planes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.spatial_dim not in (2, 3):
-            raise ValueError("spatial_dim must be 2 or 3")
-        if self.spatial_dim != self.coefficients.d:
-            raise ValueError(
-                f"spatial_dim {self.spatial_dim} does not match the "
-                f"coefficient dimension {self.coefficients.d}"
-            )
+        if self.coefficients.d not in (2, 3):
+            raise ValueError(f"coefficient dimension {self.coefficients.d} is not 2 or 3")
         if not (self.dx > 0 and self.dt > 0):
             raise ValueError("dx and dt must be positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
 
-    @property
-    def cfl_limit(self) -> float:
-        """dx^2 over the largest positive diffusion coefficient."""
-        c_max = max(self.coefficients.positive_block().values())
-        return self.dx**2 / c_max
+    @classmethod
+    def at_cfl(
+        cls, coefficients: CoefficientSet, dx: float, cfl_safety: float
+    ) -> MacroConfig:
+        """The config whose dt equals the bound cfl_safety * dx^2 / c_max."""
+        return cls(coefficients, dx, _cfl_bound(coefficients, dx, cfl_safety), cfl_safety)
 
     def _planes_for(self, shape: tuple[int, ...]) -> _Planes:
         """This config's planes, replaced when the lattice shape changes."""
@@ -481,14 +484,14 @@ def _heun(fields: MacroField, config: MacroConfig) -> tuple[MacroField, float]:
 
 
 def _check_step_preconditions(fields: MacroField, config: MacroConfig) -> None:
-    if fields.spatial_dim != config.spatial_dim:
+    if fields.spatial_dim != config.coefficients.d:
         raise ValueError(
             f"field dimension {fields.spatial_dim} does not match the "
-            f"configured dimension {config.spatial_dim}"
+            f"coefficient dimension {config.coefficients.d}"
         )
     if abs(fields.dx - config.dx) > 1e-15 * config.dx:
         raise ValueError("field and config disagree on the lattice spacing")
-    bound = config.cfl_safety * config.cfl_limit
+    bound = _cfl_bound(config.coefficients, config.dx, config.cfl_safety)
     if config.dt > bound:
         raise CflViolation(
             f"dt={config.dt:.3e} exceeds the diffusive bound "
@@ -516,23 +519,20 @@ def preprojection_drift(fields: MacroField, config: MacroConfig) -> float:
     return drift
 
 
-def rotate_quarter_turn(
-    fields: MacroField, plane: tuple[int, int] = (0, 1)
-) -> MacroField:
-    """Quarter-turn lattice rotation of both fields in the given plane.
+def rotate_quarter_turn(fields: MacroField) -> MacroField:
+    """Quarter-turn lattice rotation of both fields in the (x_1, x_2) plane.
 
     Grid points and vector components rotate together (about the grid
-    center, e_a -> e_b, e_b -> -e_a), so stepping commutes with this map up
+    center, e_1 -> e_2, e_2 -> -e_1), so stepping commutes with this map up
     to summation-order rounding.
     """
-    a, b = plane
     # np.rot90 places values so that m'[x'] = m[R^-1 x'] for the quarter
-    # turn R: delta_a -> delta_b, delta_b -> -delta_a about the grid center.
-    rho_r = np.rot90(fields.rho, k=1, axes=(a, b)).copy()
-    u_r = np.rot90(fields.u, k=1, axes=(a, b))
+    # turn R: delta_1 -> delta_2, delta_2 -> -delta_1 about the grid center.
+    rho_r = np.rot90(fields.rho, k=1, axes=(0, 1)).copy()
+    u_r = np.rot90(fields.u, k=1, axes=(0, 1))
     u_new = u_r.copy()
-    u_new[..., b] = u_r[..., a]
-    u_new[..., a] = -u_r[..., b]
+    u_new[..., 1] = u_r[..., 0]
+    u_new[..., 0] = -u_r[..., 1]
     return replace(fields, rho=rho_r, u=u_new)
 
 

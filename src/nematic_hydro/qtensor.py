@@ -22,7 +22,6 @@ class DegenerateLeadingEigenvalue(Exception):
 class SpectralInfo:
     direction: np.ndarray
     leading_eigenvalue: float
-    gap: float
 
 
 def qtensor_from_orientations(
@@ -41,28 +40,24 @@ def qtensor_from_orientations(
         if total <= 0:
             raise ValueError("weights must sum to a positive number")
         w = w / total
-    second = np.einsum("n,ni,nj->ij", w, omega, omega)
-    second = 0.5 * (second + second.T)  # einsum is not bitwise symmetric
+    second = (omega.T * w) @ omega
+    second = 0.5 * (second + second.T)  # the product is not bitwise symmetric
     return second - np.eye(d) / d
 
 
-def leading_direction(
-    Q: np.ndarray,
-    prev: np.ndarray | None = None,
-    gap_floor: float = GAP_FLOOR,
-) -> SpectralInfo:
+def leading_direction(Q: np.ndarray, prev: np.ndarray | None = None) -> SpectralInfo:
     """Leading unit eigenvector of Q with a continuous sign convention.
 
     Sign: align with prev when given, else make the first nonzero component
     positive.  Raises DegenerateLeadingEigenvalue when the spectral gap falls
-    below gap_floor; callers choose their own fallback (the particle stepper
+    below GAP_FLOOR; callers choose their own fallback (the particle stepper
     drops the alignment drift for that particle and step).
     """
     lam, V = np.linalg.eigh(np.asarray(Q, dtype=float))
     gap = float(lam[-1] - lam[-2])
-    if gap < gap_floor:
+    if gap < GAP_FLOOR:
         raise DegenerateLeadingEigenvalue(
-            f"leading eigenvalue gap {gap:.3e} below floor {gap_floor:.3e}"
+            f"leading eigenvalue gap {gap:.3e} below floor {GAP_FLOOR:.3e}"
         )
     v = V[:, -1]
     if prev is not None:
@@ -73,7 +68,7 @@ def leading_direction(
         if nz.size and v[nz[0]] < 0.0:
             v = -v
     v = v / np.linalg.norm(v)
-    return SpectralInfo(direction=v, leading_eigenvalue=float(lam[-1]), gap=gap)
+    return SpectralInfo(direction=v, leading_eigenvalue=float(lam[-1]))
 
 
 def equilibrium_eigenvalues(kappa: float, d: int) -> tuple[float, float]:

@@ -27,11 +27,11 @@ def angle_weight_norm(m: int) -> float:
     return sqrt(pi) * gamma((m + 1) / 2) / gamma(m / 2 + 1)
 
 
-def assert_unit(v: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
+def assert_unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"direction norm {norm!r} deviates from 1 beyond {tol}")
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise ValueError(f"direction norm {norm!r} deviates from 1 beyond {UNIT_TOL}")
     return v
 
 
@@ -70,54 +70,51 @@ class SphereQuadrature:
     weights: np.ndarray
     r_nodes: np.ndarray
     r_weights: np.ndarray
-    declared_degree: int
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Sum values against the weights (values indexed like nodes)."""
         return np.tensordot(self.weights, np.asarray(values), axes=(0, 0))
 
 
-def _azimuthal_nodes(d: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
+def _azimuthal_nodes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on S^{d-2} embedded in R^{d-1}, normalized measure."""
     if d == 2:
         # S^0: two points, half the counting measure each
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     if d == 3:
-        phi = 2.0 * pi * np.arange(n_azimuth) / n_azimuth
+        phi = 2.0 * pi * np.arange(n) / n
         z = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return z, np.full(n_azimuth, 1.0 / n_azimuth)
+        return z, np.full(n, 1.0 / n)
     sub_axis = np.zeros(d - 1)
     sub_axis[0] = 1.0
-    sub = build_quadrature(d - 1, sub_axis, n_azimuth, n_azimuth)
+    sub = build_quadrature(d - 1, sub_axis, n)
     return sub.nodes, sub.weights
 
 
-def build_quadrature(
-    d: int, axis: np.ndarray, n_theta: int, n_azimuth: int
-) -> SphereQuadrature:
+def build_quadrature(d: int, axis: np.ndarray, n: int) -> SphereQuadrature:
     """Gauss rule in r = omega.axis times a uniform equatorial rule.
 
-    The radial rule is Gaussian for the weight (1-r^2)^{(d-3)/2}, so spherical
-    polynomials up to the declared degree integrate exactly; for d > 3 the
+    n is both the number of radial Gauss nodes and of equatorial nodes per
+    circle.  The radial rule is Gaussian for the weight (1-r^2)^{(d-3)/2},
+    so it integrates polynomials in r up to degree 2n - 1 exactly, and the
+    equatorial rule is exact for trigonometric degree n - 1; for d > 3 the
     equatorial factor recurses.
     """
     if d < 2:
         raise ValueError("sphere dimension requires d >= 2")
-    if n_theta < 2:
-        raise ValueError("n_theta >= 2 required")
+    if n < 2:
+        raise ValueError("n >= 2 required")
     axis = assert_unit(axis)
     alpha = (d - 3) / 2.0
-    r, wr = roots_jacobi(n_theta, alpha, alpha)
+    r, wr = roots_jacobi(n, alpha, alpha)
     wr = wr / wr.sum()
-    z, wz = _azimuthal_nodes(d, n_azimuth)
+    z, wz = _azimuthal_nodes(d, n)
     B = complete_basis(axis)  # (d, d-1)
     perp = z @ B.T  # (nz, d)
     s = np.sqrt(np.clip(1.0 - r**2, 0.0, None))
     nodes = r[:, None, None] * axis[None, None, :] + s[:, None, None] * perp[None, :, :]
     weights = (wr[:, None] * wz[None, :]).reshape(-1)
     nodes = nodes.reshape(-1, d)
-    deg_radial = 2 * n_theta - 1
-    deg_azimuth = 10**9 if d == 2 else n_azimuth - 1
     return SphereQuadrature(
         d=d,
         axis=axis,
@@ -125,7 +122,6 @@ def build_quadrature(
         weights=weights / weights.sum(),
         r_nodes=r,
         r_weights=wr,
-        declared_degree=min(deg_radial, deg_azimuth),
     )
 
 

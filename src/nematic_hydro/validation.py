@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .constants import UNIT_TOL
 from .gci.corrector import CorrectorInputs, gci_vector
 from .gci.equilibrium import make_equilibrium
 from .gci.radial import RadialSolution, strong_defect
@@ -28,7 +27,7 @@ from .ibm import IbmConfig, ParticleState, coarse_grain, initial_state, step, _s
 from .macro import MacroConfig, MacroField
 from .macro import step as macro_step
 from .qtensor import leading_direction, qtensor_from_orientations
-from .sphere import SphereQuadrature, assert_unit, build_quadrature, complete_basis
+from .sphere import assert_unit, build_quadrature, complete_basis
 
 __all__ = [
     "ScalingReport",
@@ -75,7 +74,7 @@ def _ball_quadrature(
     ws = 0.5 * ws
     axis = np.zeros(d)
     axis[-1] = 1.0
-    sphere = build_quadrature(d, axis, n_surface, n_surface)
+    sphere = build_quadrature(d, axis, n_surface)
     surface_area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
     # weights integrate g over {|xi| <= 1}: radial measure s^{d-1} times the
     # surface measure, the latter recovered from the unit-mass sphere rule
@@ -85,14 +84,15 @@ def _ball_quadrature(
     return nodes.reshape(-1, d), w.reshape(-1), dirs.reshape(-1, d)
 
 
+_SCALING_PROBES = np.array([[0.31, 0.57, 0.44], [0.72, 0.22, 0.81], [0.11, 0.86, 0.29]])
+"""Spatial points of the expansion study; the first d columns are used."""
+
+
 def eps_expansion_study(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    kernel: Optional[Callable[[np.ndarray], np.ndarray]],
-    R: float,
     eps_values: Sequence[float],
     *,
     d: int = 2,
-    probes: Optional[np.ndarray] = None,
     asymmetry: float = 0.0,
     n_radial: int = 24,
     n_surface: int = 48,
@@ -102,11 +102,12 @@ def eps_expansion_study(
 
     f(x, omega_nodes) returns the angular density at spatial point x on the
     given orientation nodes; it must be smooth and 1-periodic in each spatial
-    coordinate.  kernel maps |xi| in [0, 1] to a radial weight (None means
-    flat); the kernel is normalized internally so the average of a constant
-    is exact.  asymmetry adds an odd component to the kernel, which breaks
-    the symmetry that cancels the linear term and degrades the rate to
-    first order; it exists as a negative control of the study itself.
+    coordinate.  The kernel is flat on the ball of radius eps, normalized so
+    the average of a constant is exact.  asymmetry adds an odd component to
+    the kernel, which breaks the symmetry that cancels the linear term and
+    degrades the rate to first order; it exists as a negative control of the
+    study itself.  n_radial and n_surface resolve the ball, n_sphere the
+    orientation sphere.
 
     Returns the worst Frobenius error over the probe points per eps and the
     fitted log-log slope.
@@ -114,15 +115,11 @@ def eps_expansion_study(
     eps_arr = np.asarray(sorted(eps_values, reverse=True), dtype=float)
     if eps_arr.size < 2:
         raise ValueError("at least two eps values are required to fit a slope")
-    if probes is None:
-        probes = np.array(
-            [[0.31, 0.57, 0.44], [0.72, 0.22, 0.81], [0.11, 0.86, 0.29]]
-        )[:, :d]
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    probes = _SCALING_PROBES[:, :d]
 
     axis = np.zeros(d)
     axis[-1] = 1.0
-    quad = build_quadrature(d, axis, n_sphere, n_sphere)
+    quad = build_quadrature(d, axis, n_sphere)
     outer = np.einsum("mi,mj->mij", quad.nodes, quad.nodes) - np.eye(d) / d
 
     def q_of(x: np.ndarray) -> np.ndarray:
@@ -130,10 +127,7 @@ def eps_expansion_study(
         return np.einsum("m,m,mij->ij", quad.weights, vals, outer)
 
     xi, w_ball, dirs = _ball_quadrature(d, n_radial, n_surface)
-    radial = np.linalg.norm(xi, axis=1)
-    k_vals = np.ones_like(radial) if kernel is None else np.asarray(kernel(radial))
-    k_vals = k_vals * (1.0 + asymmetry * dirs[:, 0])
-    weights = w_ball * k_vals
+    weights = w_ball * (1.0 + asymmetry * dirs[:, 0])
     weights = weights / weights.sum()
 
     errors = np.empty(eps_arr.size)
@@ -143,7 +137,7 @@ def eps_expansion_study(
             q_local = q_of(x0)
             q_avg = np.zeros_like(q_local)
             for wq, node in zip(weights, xi):
-                q_avg += wq * q_of(x0 + eps * R * node)
+                q_avg += wq * q_of(x0 + eps * node)
             worst = max(worst, float(np.linalg.norm(q_avg - q_local)))
         errors[ie] = worst
     if errors.max() < 1e-14:
@@ -154,23 +148,19 @@ def eps_expansion_study(
 
 
 def rotating_equilibrium_family(
-    kappa: float,
-    d: int,
-    *,
-    density_amplitude: float = 0.5,
-    rotation_amplitude: float = 0.3,
+    kappa: float, d: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Synthetic smooth phase-space density for the expansion study.
 
-    rho(x) = 1 + density_amplitude sin(2 pi x_1); the alignment axis rotates
-    in the (e_1, e_2) plane by rotation_amplitude sin(2 pi x_1) radians.
+    rho(x) = 1 + 0.5 sin(2 pi x_1); the alignment axis rotates in the
+    (e_1, e_2) plane by 0.3 sin(2 pi x_1) radians.
     """
     eq = make_equilibrium(kappa, d)
 
     def f(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         phase = 2.0 * math.pi * float(x[0])
-        rho = 1.0 + density_amplitude * math.sin(phase)
-        alpha = rotation_amplitude * math.sin(phase)
+        rho = 1.0 + 0.5 * math.sin(phase)
+        alpha = 0.3 * math.sin(phase)
         u = np.zeros(d)
         u[0] = math.cos(alpha)
         u[1] = math.sin(alpha)
@@ -200,7 +190,7 @@ class AlignedPerturbation:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        axis = assert_unit(np.asarray(self.axis, dtype=float), UNIT_TOL)
+        axis = assert_unit(self.axis)
         object.__setattr__(self, "axis", axis)
         if self.vectors is None:
             vecs = np.zeros((0, self.d))
@@ -235,7 +225,7 @@ class AlignedPerturbation:
         V = (omega.u) P_{omega-perp} u, plus D times the Laplacian of f.
         """
         omega = np.atleast_2d(np.asarray(omega, dtype=float))
-        u = assert_unit(np.asarray(u, dtype=float), UNIT_TOL)
+        u = assert_unit(u)
         d = self.d
         kf = self.kappa
         v = self.axis
@@ -267,7 +257,6 @@ def gci_orthogonality_report(
     h_sol: RadialSolution,
     kappa: float,
     D: float,
-    quad: Optional[SphereQuadrature] = None,
 ) -> dict[str, float]:
     """Orthogonality and mass integrals of the collision operator.
 
@@ -281,10 +270,9 @@ def gci_orthogonality_report(
         raise ValueError("the vector invariant requires the 'h' profile")
     if abs(h_sol.kappa - kappa) > 1e-12 or h_sol.d != field.d:
         raise ValueError("h profile and field disagree on (kappa, d)")
-    if quad is None:
-        axis0 = np.zeros(field.d)
-        axis0[-1] = 1.0
-        quad = build_quadrature(field.d, axis0, 100, 100)
+    axis0 = np.zeros(field.d)
+    axis0[-1] = 1.0
+    quad = build_quadrature(field.d, axis0, 100)
     f_vals = field.values(quad.nodes)
     q_tensor = np.einsum(
         "m,m,mij->ij",
@@ -305,19 +293,16 @@ def gci_orthogonality_check(
     h_sol: RadialSolution,
     kappa: float,
     D: float,
-    quad: Optional[SphereQuadrature] = None,
-    *,
-    mass_tol: float = 1e-8,
 ) -> float:
     """Norm of the collision-operator integral against the vector invariant.
 
     Also verifies that the plain integral of the operator vanishes (the mass
-    invariant); a violation beyond mass_tol raises ArithmeticError since it
+    invariant); a violation beyond 1e-8 raises ArithmeticError since it
     signals an inconsistent pointwise evaluation rather than a property of
     the field.
     """
-    report = gci_orthogonality_report(field, h_sol, kappa, D, quad)
-    if report["mass"] > mass_tol:
+    report = gci_orthogonality_report(field, h_sol, kappa, D)
+    if report["mass"] > 1e-8:
         raise ArithmeticError(
             f"mass invariant violated: |integral| = {report['mass']:.3e}"
         )
@@ -341,7 +326,6 @@ def corrector_channel_residuals(
     inputs: CorrectorInputs,
     bundle: dict[str, RadialSolution],
     kappa: float,
-    quad: Optional[SphereQuadrature] = None,
 ) -> dict[str, float]:
     """Sup-norm defect of each corrector channel over quadrature nodes.
 
@@ -355,8 +339,7 @@ def corrector_channel_residuals(
     """
     d = inputs.u.shape[0]
     eq = make_equilibrium(kappa, d)
-    if quad is None:
-        quad = build_quadrature(d, inputs.u, 96, 96)
+    quad = build_quadrature(d, inputs.u, 96)
     u = inputs.u
     r = quad.nodes @ u
     omega_perp = quad.nodes - np.multiply.outer(r, u)
@@ -390,10 +373,9 @@ def corrector_residual(
     inputs: CorrectorInputs,
     bundle: dict[str, RadialSolution],
     kappa: float,
-    quad: Optional[SphereQuadrature] = None,
 ) -> float:
     """Largest channel defect of the corrector equation at these inputs."""
-    return max(corrector_channel_residuals(inputs, bundle, kappa, quad).values())
+    return max(corrector_channel_residuals(inputs, bundle, kappa).values())
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +501,7 @@ def _sample_aligned_orientations(
     gen: np.random.Generator, n: int, kappa: float, u: np.ndarray
 ) -> np.ndarray:
     """Draws from the aligned equilibrium by inverse CDF in the polar angle."""
-    u = assert_unit(np.asarray(u, dtype=float), UNIT_TOL)
+    u = assert_unit(u)
     d = u.size
     theta_grid, cum = _polar_angle_table(kappa, d)
     theta = np.interp(gen.random(n), cum, theta_grid)
@@ -544,6 +526,13 @@ def _coarse_fields(
     return rho_hat, filled, valid
 
 
+# density bump amplitude, coarse-graining bandwidth in cells, and the
+# fraction of the diffusive bound taken as the continuum step
+_CROSS_BUMP = 0.5
+_CROSS_BANDWIDTH_CELLS = 1.5
+_CROSS_CFL_SAFETY = 0.2
+
+
 def particle_vs_macro(
     config: IbmConfig,
     eps: float,
@@ -551,19 +540,17 @@ def particle_vs_macro(
     *,
     coefficients=None,
     grid_n: int = 32,
-    bump_amplitude: float = 0.5,
-    bandwidth_cells: float = 1.5,
     n_checkpoints: int = 4,
-    cfl_safety: float = 0.2,
 ) -> CrossScaleReport:
     """Particle run against the limiting continuum system, parabolically matched.
 
-    The particle box of length L carries a density bump along the first axis
-    and orientations drawn from the aligned equilibrium along the second
-    axis.  The continuum fields start from the coarse-grained particle
-    initial data on a box of length eps L, and both systems advance to the
-    matched horizon: micro time D T_macro / eps^2.  Distances are recorded
-    at n_checkpoints intermediate times.
+    The particle box of length L carries the density bump 1 + 0.5 sin along
+    the first axis and orientations drawn from the aligned equilibrium along
+    the second axis.  The continuum fields start from the coarse-grained
+    particle initial data (Gaussian bandwidth 1.5 cells) on a box of length
+    eps L, and both systems advance to the matched horizon: micro time
+    D T_macro / eps^2, with a continuum step at 0.2 of its diffusive bound.
+    Distances are recorded at n_checkpoints intermediate times.
     """
     from .gci.coefficients import compute_coefficients
     from .gci.radial import solve_bundle
@@ -581,26 +568,19 @@ def particle_vs_macro(
     u0 = np.zeros(d)
     u0[1] = 1.0
     positions = gen.random((config.N, d)) * config.box_length
-    positions[:, 0] = _sample_axis_bump(gen, config.N, config.box_length, bump_amplitude)
+    positions[:, 0] = _sample_axis_bump(gen, config.N, config.box_length, _CROSS_BUMP)
     orientations = _sample_aligned_orientations(gen, config.N, kappa, u0)
     state = ParticleState(positions, orientations, 0.0)
 
     box_macro = eps * config.box_length
     dx = box_macro / grid_n
-    bandwidth_micro = bandwidth_cells * (config.box_length / grid_n)
+    bandwidth_micro = _CROSS_BANDWIDTH_CELLS * (config.box_length / grid_n)
     rho0, dirs0, _ = _coarse_fields(state, grid_n, bandwidth_micro, config.box_length, u0)
     norms = np.linalg.norm(dirs0, axis=-1, keepdims=True)
     field = MacroField(rho=rho0, u=dirs0 / norms, dx=dx)
 
-    c_max = max(coefficients.positive_block().values())
-    dt_macro = cfl_safety * dx * dx / c_max
-    macro_cfg = MacroConfig(
-        coefficients=coefficients,
-        dx=dx,
-        dt=dt_macro,
-        cfl_safety=min(1.0, cfl_safety * 1.01),
-        spatial_dim=d,
-    )
+    macro_cfg = MacroConfig.at_cfl(coefficients, dx, _CROSS_CFL_SAFETY)
+    dt_macro = macro_cfg.dt
 
     T_micro = config.D * T_macro / eps**2
     n_micro = int(round(T_micro / config.dt))

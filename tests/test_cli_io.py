@@ -23,6 +23,7 @@ from nematic_hydro.cli_io.output import (
     write_observation_binary,
 )
 from nematic_hydro.macro import CflViolation, MacroField
+from nematic_hydro.validation import CORRECTOR_CHANNELS
 
 IBM_TEXT = """\
 # comment survives anywhere  # even twice
@@ -321,6 +322,27 @@ class TestMain:
         assert 1.8 <= report["slope"] <= 2.2
         assert (out / "scaling_report.json.json").exists()
         assert (out / "scaling_curve.csv").exists()
+
+    def test_validate_corrector_solves_one_bundle_per_resolution(self, tmp_path, monkeypatch):
+        solved = []
+        real = cli.solve_bundle
+
+        def counting(kappa, d, n):
+            solved.append(n)
+            return real(kappa, d, n)
+
+        monkeypatch.setattr(cli, "solve_bundle", counting)
+        cfg = write_cfg(tmp_path, "[validate]\nn = 256\n")
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--suite", "corrector", "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == 0
+        assert solved == [64, 128, 256]
+        report = json.loads((out / "corrector_report.json").read_text())
+        header = (out / "corrector_curve.csv").read_text().splitlines()[0].split(",")
+        assert header[2:] == list(CORRECTOR_CHANNELS.values())
+        assert set(report["channels"]) == set(CORRECTOR_CHANNELS.values())
 
     def test_validate_requires_suite(self, capsys):
         with pytest.raises(SystemExit):

@@ -95,7 +95,7 @@ def test_equilibrium_density_normalized(d):
     eq = make_equilibrium(1.7, d)
     axis = np.zeros(d)
     axis[0] = 1.0
-    quad = build_quadrature(d, axis, 64, 64)
+    quad = build_quadrature(d, axis, 64)
     mass = quad.integrate(eq.density(quad.nodes @ axis))
     assert abs(mass - 1.0) < 1e-12
     r = np.linspace(-1, 1, 9)

@@ -103,7 +103,7 @@ class TestCorrectorF1:
     def test_integrates_to_zero_mass(self, bundle_k2d3):
         inputs = make_inputs()
         eq = make_equilibrium(2.0, 3)
-        quad = build_quadrature(3, U3, 80, 80)
+        quad = build_quadrature(3, U3, 80)
         mass = quad.integrate(corrector_f1(inputs, bundle_k2d3, eq, quad.nodes))
         assert abs(mass) < 1e-12
 

@@ -99,13 +99,29 @@ def test_density_floor_guard(coeffs_k4d2):
         direction_rhs(starved, coeffs_k4d2)
 
 
-def test_config_validation(coeffs_k4d2, coeffs_k2d3):
-    with pytest.raises(ValueError):
-        MacroConfig(coefficients=coeffs_k2d3, dx=0.1, dt=1e-5, spatial_dim=2)
+def test_config_validation(coeffs_k4d2):
     with pytest.raises(ValueError):
         MacroConfig(coefficients=coeffs_k4d2, dx=0.1, dt=0.0)
     with pytest.raises(ValueError):
         MacroConfig(coefficients=coeffs_k4d2, dx=0.1, dt=1e-5, cfl_safety=0.0)
+
+
+def test_field_dimension_must_match_coefficients(coeffs_k2d3):
+    F = make_fields(16)
+    cfg = MacroConfig(coefficients=coeffs_k2d3, dx=F.dx, dt=1e-7)
+    with pytest.raises(ValueError, match="dimension"):
+        step(F, cfg)
+
+
+def test_at_cfl_step_sits_on_the_bound(coeffs_k4d2):
+    F = make_fields(32)
+    cfg = MacroConfig.at_cfl(coeffs_k4d2, F.dx, 0.2)
+    c_max = max(coeffs_k4d2.positive_block().values())
+    assert cfg.dt == 0.2 * F.dx**2 / c_max and cfg.cfl_safety == 0.2
+    step(F, cfg)
+    above = MacroConfig(coeffs_k4d2, F.dx, np.nextafter(cfg.dt, np.inf), 0.2)
+    with pytest.raises(CflViolation):
+        step(F, above)
 
 
 def test_preprojection_drift_second_order(coeffs_k4d2):

@@ -7,8 +7,7 @@ from nematic_hydro.gci.radial import (
     DIRICHLET_KINDS,
     NEUMANN_KINDS,
     solve_bundle,
-    solve_dirichlet_type_bvp,
-    solve_neumann_type_bvp,
+    solve_profile,
     strong_defect,
     strong_residual,
 )
@@ -135,11 +134,24 @@ def test_solution_metadata(bundle_k2d3):
 
 
 def test_individual_solvers_match_bundle(bundle_k2d3):
-    h = solve_dirichlet_type_bvp("h", 2.0, 3, 1024)
-    c = solve_neumann_type_bvp("c", 2.0, 3, 1024)
+    h = solve_profile("h", 2.0, 3, 1024)
+    c = solve_profile("c", 2.0, 3, 1024)
+    k = solve_profile("k", 2.0, 3, 1024, e_sol=bundle_k2d3["e"])
     r = np.linspace(-0.9, 0.9, 11)
     assert np.abs(h(r) - bundle_k2d3["h"](r)).max() == 0.0
     assert np.abs(c(r) - bundle_k2d3["c"](r)).max() == 0.0
+    assert np.abs(k(r) - bundle_k2d3["k"](r)).max() == 0.0
+
+
+def test_profile_kind_and_coupling_validated(bundle_k2d3):
+    with pytest.raises(ValueError, match="not one of"):
+        solve_profile("z", 2.0, 3, 1024)
+    with pytest.raises(ValueError, match="e_sol"):
+        solve_profile("k", 2.0, 3, 1024)
+    with pytest.raises(ValueError, match="e_sol"):
+        solve_profile("k", 2.0, 3, 1024, e_sol=bundle_k2d3["a"])
+    with pytest.raises(ValueError, match="different"):
+        solve_profile("k", 3.0, 3, 1024, e_sol=bundle_k2d3["e"])
 
 
 def test_defect_is_pointwise_and_interior(bundle_k2d3):
@@ -152,9 +164,9 @@ def test_defect_is_pointwise_and_interior(bundle_k2d3):
 def test_odd_resolution_rejected():
     """r = 0 must be an element vertex for the half-interval solve."""
     with pytest.raises(ValueError, match="even"):
-        solve_dirichlet_type_bvp("a", 2.0, 3, 1025)
+        solve_profile("a", 2.0, 3, 1025)
     with pytest.raises(ValueError, match="even"):
-        solve_neumann_type_bvp("c", 2.0, 3, 1025)
+        solve_profile("c", 2.0, 3, 1025)
 
 
 @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])

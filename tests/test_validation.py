@@ -29,28 +29,28 @@ class TestEpsExpansionStudy:
             return np.exp((nodes @ axis) ** 2)
 
         rep = eps_expansion_study(
-            f, None, 1.0, [0.2, 0.1], d=2, n_radial=8, n_surface=16, n_sphere=32
+            f, [0.2, 0.1], d=2, n_radial=8, n_surface=16, n_sphere=32
         )
         assert rep.errors.max() < 1e-14
         assert np.isnan(rep.slope)
 
     def test_rotating_family_expands_at_second_order(self):
         f = rotating_equilibrium_family(2.0, 2)
-        rep = eps_expansion_study(f, None, 1.0, [0.2, 0.1, 0.05, 0.025], d=2)
+        rep = eps_expansion_study(f, [0.2, 0.1, 0.05, 0.025], d=2)
         assert 1.8 <= rep.slope <= 2.2
         assert np.all(np.diff(rep.errors) < 0)
 
     def test_asymmetric_kernel_degrades_to_first_order(self):
         f = rotating_equilibrium_family(2.0, 2)
         rep = eps_expansion_study(
-            f, None, 1.0, [0.1, 0.05, 0.025, 0.0125], d=2, asymmetry=0.5
+            f, [0.1, 0.05, 0.025, 0.0125], d=2, asymmetry=0.5
         )
         assert 0.8 <= rep.slope <= 1.2
 
     def test_needs_two_eps_values(self):
         f = rotating_equilibrium_family(2.0, 2)
         with pytest.raises(ValueError):
-            eps_expansion_study(f, None, 1.0, [0.1], d=2)
+            eps_expansion_study(f, [0.1], d=2)
 
 
 class TestOrthogonality:
@@ -58,7 +58,7 @@ class TestOrthogonality:
         axis = np.array([0.3, -0.5, 0.8])
         axis /= np.linalg.norm(axis)
         field = AlignedPerturbation(kappa=2.0, d=3, axis=axis)
-        quad = build_quadrature(3, axis, 60, 60)
+        quad = build_quadrature(3, axis, 60)
         gamma = field.collision_values(quad.nodes, axis, 2.0, 1.0)
         assert np.abs(gamma).max() < 1e-12
 
