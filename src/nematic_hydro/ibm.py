@@ -12,6 +12,13 @@ integrated with a Heun scheme: both stages project the drift and the same
 noise increment onto the tangent space of the stage orientation, and the
 result is renormalized to the unit sphere.
 
+The stepper works on component columns: positions and orientations are
+(N, d) arrays in Fortran order, so each component is one contiguous column,
+and per-particle quantities such as the cosine omega.obar are summed over
+the d columns.  The global kernel's obar is a single d-vector shared by
+every particle; the local kernels give one direction per particle, held as
+(N, d) columns as well.
+
 Randomness is counter-based.  Step t of a run draws its (N, d) standard
 normal table from a fresh Philox-4x64 bit generator keyed (seed, t); row i
 of the table belongs to particle i.  Each draw is a pure function of
@@ -87,8 +94,9 @@ class IbmConfig:
         # Alignment must stay a small rotation per step.
         if self.dt * self.nu > 0.1:
             raise ValueError(f"dt * nu = {self.dt * self.nu:.3g} exceeds 0.1")
-        # Minimum-image neighborhoods are unambiguous only below half the box.
-        if self.R >= self.box_length / 2.0:
+        # Minimum-image neighborhoods are unambiguous only below half the
+        # box; the global kernel never reads R.
+        if self.kernel != "global" and self.R >= self.box_length / 2.0:
             raise ValueError("R must be smaller than half the box length")
 
 
@@ -158,22 +166,27 @@ def _min_image(disp: np.ndarray, box_length: float) -> np.ndarray:
     return disp - box_length * np.round(disp / box_length)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products; over d columns a loop beats einsum several times."""
-    out = a[:, 0] * b[:, 0]
-    for i in range(1, a.shape[1]):
-        out += a[:, i] * b[:, i]
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-particle dot products, summed column by column.
+
+    a is (N, d); b is (N, d) or one d-vector shared by every particle.
+    """
+    out = a[:, 0] * b[..., 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k] * b[..., k]
     return out
 
 
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(_row_dots(vectors, vectors))[:, None]
+def _normalize(vectors: np.ndarray) -> np.ndarray:
+    """Scale each row of vectors to unit length, in place."""
+    norms = np.sqrt(_dots(vectors, vectors))
     if norms.min() < 1e-6:
         raise ArithmeticError(
             "orientation update collapsed to the origin; "
             "the noise step is too large for this dt"
         )
-    return vectors / norms
+    vectors /= norms[:, None]
+    return vectors
 
 
 def _kernel_weights(dist2: np.ndarray, config: IbmConfig) -> np.ndarray:
@@ -223,41 +236,62 @@ def _local_moments(
     the weight at distance zero, so the weight sum stays positive.  The
     cost is O(N) at fixed density, for any box and any d.  The global
     kernel does not come here: it needs no neighbour search.
+
+    Pair quantities are gathered one component column at a time, and the
+    two endpoints of the pairs are summed one after the other, so at most d
+    gathered orientation columns are held at once.
     """
     n, d = positions.shape
     tree = cKDTree(positions, boxsize=config.box_length)
     pairs = tree.query_pairs(config.R * (1.0 + 1e-9), output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    disp = _min_image(positions[i] - positions[j], config.box_length)
-    w = _kernel_weights(np.einsum("pk,pk->p", disp, disp), config)
+    i, j = np.ascontiguousarray(pairs.T)
+    del pairs
+    # Squared distances gather in two partial sums, of the even and of the
+    # odd components, added last: the order in which einsum reduces a row in
+    # _local_moments_dense and local_mean_direction, so that every path
+    # decides a pair at the kernel radius alike.
+    partial = np.zeros((2, i.size))
+    for k in range(d):
+        x = positions[:, k]
+        disp = _min_image(x[i] - x[j], config.box_length)
+        disp *= disp
+        partial[k % 2] += disp
+    del disp
+    w = _kernel_weights(partial[0] + partial[1], config)
+    del partial
     w_self = float(_kernel_weights(np.zeros(1), config)[0])
 
     wsum = w_self + np.bincount(i, weights=w, minlength=n)
     wsum += np.bincount(j, weights=w, minlength=n)
     moments = np.empty((n, d, d))
-    om_i = orientations[i]
-    om_j = orientations[j]
-    for a in range(d):
-        for b in range(a, d):
-            m_ab = w_self * orientations[:, a] * orientations[:, b]
-            m_ab += np.bincount(i, weights=w * om_j[:, a] * om_j[:, b], minlength=n)
-            m_ab += np.bincount(j, weights=w * om_i[:, a] * om_i[:, b], minlength=n)
-            moments[:, a, b] = m_ab
-            moments[:, b, a] = m_ab
+    upper = [(a, b) for a in range(d) for b in range(a, d)]
+    for a, b in upper:
+        moments[:, a, b] = w_self * orientations[:, a] * orientations[:, b]
+    # each pair adds the other endpoint's orientation to both of its endpoints
+    for centre, other in ((i, j), (j, i)):
+        om = [orientations[:, a][other] for a in range(d)]
+        for a in range(d):
+            w_a = w * om[a]
+            for b in range(a, d):
+                moments[:, a, b] += np.bincount(centre, weights=w_a * om[b], minlength=n)
+        del om, w_a
+    for a, b in upper:
+        moments[:, b, a] = moments[:, a, b]
     return moments, wsum
 
 
 def _leading_batch(qtensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading eigenvectors of a batch of small symmetric matrices.
 
-    Rows whose spectral gap falls below GAP_FLOOR are zeroed and flagged
-    False; the alignment drift vanishes for them automatically because it
-    is bilinear in the returned direction.
+    The directions come back as (batch, d) component columns.  Rows whose
+    spectral gap falls below GAP_FLOOR are zeroed and flagged False; the
+    alignment drift vanishes for them automatically because it is bilinear
+    in the returned direction.
     """
     lam, vec = np.linalg.eigh(qtensors)
     gap = lam[..., -1] - lam[..., -2]
     ok = gap >= GAP_FLOOR
-    dirs = vec[..., :, -1].copy()
+    dirs = np.asfortranarray(vec[..., :, -1])
     dirs[~ok] = 0.0
     return dirs, ok
 
@@ -265,19 +299,23 @@ def _leading_batch(qtensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _mean_directions(
     positions: np.ndarray, orientations: np.ndarray, config: IbmConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local mean nematic direction for every particle at once."""
-    n, d = orientations.shape
-    if config.kernel == "global":
-        Q = qtensor_from_orientations(orientations)
-        try:
-            info = leading_direction(Q)
-        except DegenerateLeadingEigenvalue:
-            return np.zeros_like(orientations), np.zeros(n, dtype=bool)
-        dirs = np.broadcast_to(info.direction, orientations.shape)
-        return dirs, np.ones(n, dtype=bool)
+    """Local mean nematic direction of every particle, for the local kernels."""
+    d = orientations.shape[1]
     moments, wsum = _local_moments(positions, orientations, config)
     Q = moments / wsum[:, None, None] - np.eye(d) / d
     return _leading_batch(Q)
+
+
+def _global_direction(orientations: np.ndarray) -> np.ndarray:
+    """The one mean nematic direction of the whole box, as a d-vector.
+
+    A degenerate Q-tensor gives the zero vector, and with it no drift, as
+    for the zeroed rows of _leading_batch.
+    """
+    try:
+        return leading_direction(qtensor_from_orientations(orientations)).direction
+    except DegenerateLeadingEigenvalue:
+        return np.zeros(orientations.shape[1])
 
 
 def local_mean_direction(
@@ -301,15 +339,27 @@ def local_mean_direction(
         return None
 
 
-def _alignment_drift(omega: np.ndarray, dirs: np.ndarray, nu: float) -> np.ndarray:
-    # nu (omega.obar) P_perp obar; even in obar, so the eigenvector sign
-    # chosen by the decomposition cannot influence the dynamics.
-    c = _row_dots(omega, dirs)[:, None]
-    return nu * c * (dirs - c * omega)
+def _drift(
+    omega: np.ndarray, obar: np.ndarray, nu: float, out: np.ndarray
+) -> np.ndarray:
+    """nu (omega.obar) P_perp obar, written into out.
+
+    obar is one d-vector (global kernel) or (N, d) columns (local kernels).
+    The drift is even in obar, so the eigenvector sign chosen by the
+    decomposition cannot influence the dynamics.
+    """
+    c = _dots(omega, obar)[:, None]
+    np.multiply(c, omega, out=out)
+    np.subtract(obar, out, out=out)
+    out *= nu * c
+    return out
 
 
-def _tangent_rows(omega: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return vectors - _row_dots(omega, vectors)[:, None] * omega
+def _project(omega: np.ndarray, vectors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Tangential part of vectors at the unit rows of omega, written into out."""
+    np.multiply(_dots(omega, vectors)[:, None], omega, out=out)
+    np.subtract(vectors, out, out=out)
+    return out
 
 
 def step(
@@ -322,35 +372,57 @@ def step(
     regardless of visit order.  Both stages project the drift and the same
     noise increment onto the tangent space of the stage orientation; the
     combined update is renormalized.  Positions advance along the pre-step
-    orientation and wrap periodically.
+    orientation and wrap periodically.  The input state is left untouched;
+    the returned arrays are (N, d) in Fortran order.
     """
-    omega = state.orientations
+    omega = np.asfortranarray(state.orientations)
+    dt = config.dt
     if config.nu == 0.0:
-        # No alignment: skip the neighbor pass, the drift is identically zero.
-        dirs = np.zeros_like(omega)
+        # No alignment: skip the neighbor pass; a zero direction gives zero drift.
+        obar = np.zeros(omega.shape[1])
+    elif config.kernel == "global":
+        obar = _global_direction(omega)
     else:
-        dirs, _ = _mean_directions(state.positions, omega, config)
-    noise = rng.standard_normal(omega.shape) * math.sqrt(2.0 * config.D * config.dt)
-
-    drift0 = _alignment_drift(omega, dirs, config.nu)
-    noise0 = _tangent_rows(omega, noise)
-    stage = _unit_rows(omega + config.dt * drift0 + noise0)
-    drift1 = _alignment_drift(stage, dirs, config.nu)
-    combined = (
-        omega
-        + 0.5 * config.dt * (drift0 + drift1)
-        + 0.5 * (noise0 + _tangent_rows(stage, noise))
+        obar, _ = _mean_directions(state.positions, omega, config)
+    noise = np.multiply(
+        rng.standard_normal(omega.shape),
+        math.sqrt(2.0 * config.D * dt),
+        out=np.empty_like(omega),
     )
-    new_omega = _unit_rows(combined)
-    new_pos = _wrap(state.positions + config.dt * omega, config.box_length)
-    return ParticleState(new_pos, new_omega, state.time + config.dt)
+
+    noise0 = _project(omega, noise, np.empty_like(omega))
+    drift0 = _drift(omega, obar, config.nu, np.empty_like(omega))
+    stage = np.multiply(dt, drift0, out=np.empty_like(omega))
+    stage += omega
+    stage += noise0
+    _normalize(stage)
+    # half the sum of both stages' noise increments
+    noise_mean = _project(stage, noise, np.empty_like(omega))
+    noise_mean += noise0
+    noise_mean *= 0.5
+    combined = _drift(stage, obar, config.nu, stage)
+    combined += drift0
+    combined *= 0.5 * dt
+    combined += omega
+    combined += noise_mean
+    new_omega = _normalize(combined)
+    new_pos = _wrap(np.asfortranarray(state.positions) + dt * omega, config.box_length)
+    return ParticleState(new_pos, new_omega, state.time + dt)
+
+
+def _step_count(T: float, dt: float) -> int:
+    """Steps of size dt that reach the horizon T; at least one is required."""
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon T = {T:.3g} is shorter than one step of {dt:.3g}")
+    return n_steps
 
 
 def initial_state(config: IbmConfig) -> ParticleState:
     """Uniform positions and isotropic orientations from the reserved stream."""
     gen = _stream(config.seed, _INIT_STREAM)
     positions = config.box_length * gen.random((config.N, config.d))
-    orientations = _unit_rows(gen.standard_normal((config.N, config.d)))
+    orientations = _normalize(gen.standard_normal((config.N, config.d)))
     return ParticleState(positions, orientations, 0.0)
 
 
@@ -389,8 +461,8 @@ def run(
         raise ValueError("T > 0 required")
     if int(observe_every) != observe_every or observe_every < 1:
         raise ValueError("observe_every must be a positive integer")
+    n_steps = _step_count(T, config.dt)
     state = initial_state(config)
-    n_steps = int(round(T / config.dt))
     observations = [_observe(state, config, coarse_grid_n, coarse_bandwidth)]
     for t in range(n_steps):
         state = step(state, config, _stream(config.seed, t))

@@ -23,7 +23,15 @@ from scipy.interpolate import CubicSpline
 from .gci.corrector import CorrectorInputs, gci_vector
 from .gci.equilibrium import make_equilibrium
 from .gci.radial import RadialSolution, strong_defect
-from .ibm import IbmConfig, ParticleState, coarse_grain, initial_state, step, _stream
+from .ibm import (
+    IbmConfig,
+    ParticleState,
+    coarse_grain,
+    initial_state,
+    step,
+    _step_count,
+    _stream,
+)
 from .macro import MacroConfig, MacroField
 from .macro import step as macro_step
 from .qtensor import leading_direction, qtensor_from_orientations
@@ -440,8 +448,8 @@ def ibm_equilibrium_statistics(config: IbmConfig, T: float) -> EquilibriumStats:
         raise ValueError("equilibrium statistics require the global kernel")
     if config.D <= 0.0:
         raise ValueError("D > 0 required, the marginal is ill-defined otherwise")
+    n_steps = _step_count(T, config.dt)
     state = initial_state(config)
-    n_steps = int(round(T / config.dt))
     for t in range(n_steps):
         state = step(state, config, _stream(config.seed, t))
     q_tensor = qtensor_from_orientations(state.orientations)
@@ -559,6 +567,7 @@ def particle_vs_macro(
         raise ValueError("D > 0 required for the parabolic matching")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps in (0, 1) required")
+    n_micro = _step_count(config.D * T_macro / eps**2, config.dt)
     kappa = config.nu / config.D
     d = config.d
     if coefficients is None:
@@ -582,9 +591,7 @@ def particle_vs_macro(
     macro_cfg = MacroConfig.at_cfl(coefficients, dx, _CROSS_CFL_SAFETY)
     dt_macro = macro_cfg.dt
 
-    T_micro = config.D * T_macro / eps**2
-    n_micro = int(round(T_micro / config.dt))
-    n_macro = int(round(T_macro / dt_macro))
+    n_macro = _step_count(T_macro, dt_macro)
     check_micro = np.unique(
         np.clip(np.round(np.linspace(1, n_micro, n_checkpoints)).astype(int), 1, n_micro)
     )

@@ -254,6 +254,28 @@ class TestMain:
         for name in ("observations.csv", "observations.bin", "observations.csv.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_ibm_horizon_shorter_than_one_step_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, IBM_TEXT.replace("T = 0.05", "T = 0.001"))
+        assert cli.main(["ibm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "shorter than one step" in capsys.readouterr().err
+
+    def test_validate_cross_horizon_shorter_than_one_step_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[validate]\ncross_T = 1e-5\n")
+        out = tmp_path / "o"
+        code = cli.main(["validate", "--suite", "cross", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "shorter than one step" in capsys.readouterr().err
+
+    def test_validate_equilibrium_accepts_radius_beyond_half_box(self, tmp_path):
+        # the global kernel never reads R
+        cfg = write_cfg(tmp_path, "[validate]\nN = 200\nT = 0.01\nR = 0.5\n")
+        out = tmp_path / "o"
+        code = cli.main(
+            ["validate", "--suite", "equilibrium", "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == 0
+        assert (out / "equilibrium_report.json").exists()
+
     def test_seed_override_changes_config_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, IBM_TEXT)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

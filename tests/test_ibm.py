@@ -7,7 +7,7 @@ from scipy.stats import kstest
 from nematic_hydro.ibm import (
     IbmConfig,
     ParticleState,
-    _alignment_drift,
+    _drift,
     _local_moments,
     _local_moments_dense,
     _mean_directions,
@@ -18,6 +18,11 @@ from nematic_hydro.ibm import (
     local_mean_direction,
     run,
     step,
+)
+from nematic_hydro.qtensor import (
+    DegenerateLeadingEigenvalue,
+    leading_direction,
+    qtensor_from_orientations,
 )
 
 
@@ -52,6 +57,11 @@ class TestConfigValidation:
         for kernel in ("indicator", "smooth-bump", "global"):
             base_config(kernel=kernel)
 
+    def test_global_kernel_ignores_radius(self):
+        # the half-box bound protects minimum-image neighbourhoods, which
+        # the global kernel never forms
+        base_config(kernel="global", R=0.6)
+
 
 def test_two_particles_align_monotonically():
     cfg = base_config(N=2, nu=1.0, D=0.0, R=0.4, dt=0.01, seed=1)
@@ -71,19 +81,22 @@ def test_two_particles_align_monotonically():
 
 
 def test_drift_even_in_mean_direction(rng):
-    omega = rng.standard_normal((50, 3))
+    omega = np.asfortranarray(rng.standard_normal((50, 3)))
     omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-    dirs = rng.standard_normal((50, 3))
+    dirs = np.asfortranarray(rng.standard_normal((50, 3)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    assert np.array_equal(
-        _alignment_drift(omega, dirs, 2.0), _alignment_drift(omega, -dirs, 2.0)
-    )
+    for obar in (dirs, dirs[0]):  # per-particle columns, and one shared direction
+        assert np.array_equal(
+            _drift(omega, obar, 2.0, np.empty_like(omega)),
+            _drift(omega, -obar, 2.0, np.empty_like(omega)),
+        )
 
 
 def test_perpendicular_mean_direction_gives_zero_drift():
     e1 = np.array([[1.0, 0.0]])
     e2 = np.array([[0.0, 1.0]])
-    assert np.array_equal(_alignment_drift(e1, e2, 3.0), np.zeros((1, 2)))
+    assert np.array_equal(_drift(e1, e2, 3.0, np.empty((1, 2))), np.zeros((1, 2)))
+    assert np.array_equal(_drift(e1, e2[0], 3.0, np.empty((1, 2))), np.zeros((1, 2)))
 
 
 def test_single_particle_moves_at_unit_speed():
@@ -255,3 +268,131 @@ def test_observation_carries_coarse_fields():
     plain = run(cfg, T=0.05, observe_every=5)
     assert plain[-1].rho_hat is None and plain[-1].u_hat is None
     assert plain[-1].order_parameter == obs[-1].order_parameter
+
+
+# ---------------------------------------------------------------------------
+# The stepper against a row-form copy of the Heun update.  The copy keeps
+# every operation of the row-form step in its order: per-particle dot
+# products over the rows, the global mean direction broadcast to one row
+# per particle, and fresh arrays for every stage.  Local directions come
+# from the per-particle reference path, local_mean_direction.
+
+
+def _ref_row_dots(a, b):
+    out = a[:, 0] * b[:, 0]
+    for i in range(1, a.shape[1]):
+        out += a[:, i] * b[:, i]
+    return out
+
+
+def _ref_unit_rows(vectors):
+    norms = np.sqrt(_ref_row_dots(vectors, vectors))[:, None]
+    assert norms.min() >= 1e-6
+    return vectors / norms
+
+
+def _ref_alignment_drift(omega, dirs, nu):
+    c = _ref_row_dots(omega, dirs)[:, None]
+    return nu * c * (dirs - c * omega)
+
+
+def _ref_tangent_rows(omega, vectors):
+    return vectors - _ref_row_dots(omega, vectors)[:, None] * omega
+
+
+def _ref_mean_directions(state, config):
+    omega = state.orientations
+    if config.kernel == "global":
+        try:
+            info = leading_direction(qtensor_from_orientations(omega))
+        except DegenerateLeadingEigenvalue:
+            return np.zeros_like(omega)
+        return np.broadcast_to(info.direction, omega.shape)
+    dirs = np.zeros_like(omega)
+    for i in range(state.n_particles):
+        ref = local_mean_direction(state, config, i)
+        if ref is not None:
+            dirs[i] = ref
+    return dirs
+
+
+def _reference_step(state, config, rng):
+    omega = state.orientations
+    if config.nu == 0.0:
+        dirs = np.zeros_like(omega)
+    else:
+        dirs = _ref_mean_directions(state, config)
+    noise = rng.standard_normal(omega.shape) * math.sqrt(2.0 * config.D * config.dt)
+
+    drift0 = _ref_alignment_drift(omega, dirs, config.nu)
+    noise0 = _ref_tangent_rows(omega, noise)
+    stage = _ref_unit_rows(omega + config.dt * drift0 + noise0)
+    drift1 = _ref_alignment_drift(stage, dirs, config.nu)
+    combined = (
+        omega
+        + 0.5 * config.dt * (drift0 + drift1)
+        + 0.5 * (noise0 + _ref_tangent_rows(stage, noise))
+    )
+    new_omega = _ref_unit_rows(combined)
+    new_pos = _wrap(state.positions + config.dt * omega, config.box_length)
+    return ParticleState(new_pos, new_omega, state.time + config.dt)
+
+
+# Per-step differences of the prototype were at most 6e-16; this bound was
+# fixed before the comparison was run.
+STEP_REFERENCE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kernel", ["global", "indicator", "smooth-bump"])
+def test_step_matches_row_form_reference(kernel, d):
+    cfg = base_config(N=300, d=d, nu=2.0, D=0.5, R=0.15, kernel=kernel, dt=1e-2, seed=21)
+    st = initial_state(cfg)
+    for t in range(3):
+        # both steppers start each step from the same state
+        ref = _reference_step(st, cfg, _stream(cfg.seed, t))
+        new = step(st, cfg, _stream(cfg.seed, t))
+        assert np.array_equal(new.positions, ref.positions)
+        assert np.abs(new.orientations - ref.orientations).max() <= STEP_REFERENCE_TOL
+        assert new.time == ref.time
+        st = new
+    assert st.orientations.flags.f_contiguous and st.positions.flags.f_contiguous
+
+
+def test_degenerate_global_qtensor_gives_no_drift():
+    # two orthogonal particles: Q = 0, so there is no mean direction
+    st = ParticleState(np.array([[0.2, 0.3], [0.7, 0.1]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    quiet = base_config(N=2, nu=1.0, D=0.0, kernel="global", seed=4)
+    new = step(st, quiet, _stream(quiet.seed, 0))
+    assert np.array_equal(new.orientations, st.orientations)
+    assert np.array_equal(new.orientations, _reference_step(st, quiet, _stream(4, 0)).orientations)
+    # with noise the step is the pure-diffusion step of the same draws
+    noisy = base_config(N=2, nu=1.0, D=0.5, kernel="global", seed=4)
+    free = base_config(N=2, nu=0.0, D=0.5, kernel="global", seed=4)
+    a = step(st, noisy, _stream(4, 0))
+    b = step(st, free, _stream(4, 0))
+    assert np.array_equal(a.orientations, b.orientations)
+    ref = _reference_step(st, noisy, _stream(4, 0))
+    assert np.abs(a.orientations - ref.orientations).max() <= STEP_REFERENCE_TOL
+
+
+@pytest.mark.parametrize("kernel", ["global", "indicator", "smooth-bump"])
+def test_step_leaves_its_input_untouched(kernel):
+    cfg = base_config(N=200, d=2, nu=2.0, D=0.5, R=0.15, kernel=kernel, dt=1e-2, seed=2)
+    first = initial_state(cfg)  # rows in C order
+    second = step(first, cfg, _stream(cfg.seed, 0))  # columns in Fortran order
+    for t, st in enumerate((first, second), start=1):
+        pos, omega = st.positions.copy(), st.orientations.copy()
+        new = step(st, cfg, _stream(cfg.seed, t))
+        assert np.array_equal(st.positions, pos)
+        assert np.array_equal(st.orientations, omega)
+        for a in (st.positions, st.orientations):
+            for b in (new.positions, new.orientations):
+                assert not np.shares_memory(a, b)
+
+
+def test_horizon_shorter_than_one_step_is_rejected():
+    cfg = base_config(dt=1e-2)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        run(cfg, T=0.004)
+    assert len(run(cfg, T=0.006)) == 2  # rounds to one step

@@ -157,6 +157,11 @@ class TestEquilibriumStatistics:
                 IbmConfig(N=100, d=2, nu=1.0, D=0.0, R=0.1, kernel="global"), T=0.1
             )
 
+    def test_horizon_shorter_than_one_step_is_rejected(self):
+        cfg = IbmConfig(N=100, d=2, nu=1.0, D=1.0, R=0.1, kernel="global", dt=1e-2)
+        with pytest.raises(ValueError, match="shorter than one step"):
+            ibm_equilibrium_statistics(cfg, T=0.004)
+
     def test_marginal_cdf_closed_form_at_zero_coupling(self):
         cdf = aligned_marginal_cdf(0.0, 2)
         xs = np.array([-1.0, -0.3, 0.0, 0.5, 1.0])
@@ -196,3 +201,14 @@ class TestCrossScale:
         cfg = IbmConfig(N=100, d=2, nu=4.0, D=1.0, R=0.2, box_length=5.0, dt=0.02)
         with pytest.raises(ValueError):
             particle_vs_macro(cfg, eps=1.5, T_macro=0.01)
+
+    def test_horizons_shorter_than_one_step_are_rejected(self):
+        cfg = IbmConfig(N=100, d=2, nu=4.0, D=1.0, R=0.2, box_length=5.0, dt=0.02)
+        # micro horizon D T / eps^2 = 2.5e-4, under half a particle step
+        with pytest.raises(ValueError, match="shorter than one step"):
+            particle_vs_macro(cfg, eps=0.2, T_macro=1e-5, grid_n=12)
+        # one particle step (5e-3), but under half of the continuum step,
+        # which is 6.3e-4 on this grid
+        fine = IbmConfig(N=100, d=2, nu=4.0, D=1.0, R=0.2, box_length=5.0, dt=5e-3)
+        with pytest.raises(ValueError, match="shorter than one step"):
+            particle_vs_macro(fine, eps=0.2, T_macro=2e-4, grid_n=12)
