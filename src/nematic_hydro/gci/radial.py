@@ -33,6 +33,7 @@ that would dominate any second-derivative reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -123,11 +124,14 @@ def _rhs(kind: str, rq: np.ndarray, e_sol: RadialSolution | None) -> np.ndarray:
     return -2.0 * e_sol(rq)  # kind 'k'; solve_profile checked e_sol
 
 
+@lru_cache(maxsize=4)
 def _element_quadrature(n_el: int) -> tuple[np.ndarray, ...]:
     """Element geometry on the half interval theta in [pi/2, 0], i.e. r in [0, 1].
 
     Returns (theta nodes, 1/half-width, quadrature weights in theta, cos and
-    sin at the quadrature points, shape values, shape derivatives).
+    sin at the quadrature points, shape values, shape derivatives).  Cached
+    per element count and shared by every solve on that grid, hence
+    read-only; four entries hold the corrector suite's n/4, n/2 and n.
     """
     p = ELEMENT_DEGREE
     theta = np.linspace(0.5 * np.pi, 0.0, p * n_el + 1)  # r = cos(theta) ascending
@@ -136,7 +140,19 @@ def _element_quadrature(n_el: int) -> tuple[np.ndarray, ...]:
     mid = 0.5 * (theta[p::p] + theta[0:-1:p])
     tq = mid[:, None] + half[:, None] * xg[None, :]
     wq = np.abs(half)[:, None] * wg[None, :]
-    return theta, 1.0 / half, wq, np.cos(tq), np.sin(tq), N, dN
+    out = (theta, 1.0 / half, wq, np.cos(tq), np.sin(tq), N, dN)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _derivative_mass(n_el: int) -> np.ndarray:
+    """Element matrices int N_i N_j dr of the projected derivative, read-only."""
+    _, _, wq, _, sq, N, _ = _element_quadrature(n_el)
+    Mloc = np.einsum("eq,qi,qj->eij", wq * sq, N, N)
+    Mloc.setflags(write=False)
+    return Mloc
 
 
 def _solve_assembled(Aloc: np.ndarray, Floc: np.ndarray, origin_fixed: bool) -> np.ndarray:
@@ -193,12 +209,11 @@ def _projected_derivative(theta: np.ndarray, u: np.ndarray, parity: str) -> np.n
     """
     p = ELEMENT_DEGREE
     n_el = (len(theta) - 1) // p
-    _, inv_half, wq, _, sq, N, dN = _element_quadrature(n_el)
+    _, inv_half, wq, _, _, N, dN = _element_quadrature(n_el)
     conn = np.arange(n_el)[:, None] * p + np.arange(p + 1)[None, :]
-    Mloc = np.einsum("eq,qi,qj->eij", wq * sq, N, N)
     u_theta = np.einsum("ej,qj->eq", u[conn], dN) * inv_half[:, None]
     Gloc = -np.einsum("eq,qi->ei", wq * u_theta, N)  # int u'(r) N_i dr
-    return _solve_assembled(Mloc, Gloc, origin_fixed=parity == "even")
+    return _solve_assembled(_derivative_mass(n_el), Gloc, origin_fixed=parity == "even")
 
 
 def _reflect(half_vertices: np.ndarray, parity: str) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -166,6 +166,23 @@ def _min_image(disp: np.ndarray, box_length: float) -> np.ndarray:
     return disp - box_length * np.round(disp / box_length)
 
 
+def _squared_lengths(components: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of the squares of displacement components, in one fixed order.
+
+    The even and the odd components accumulate left to right in two partial
+    sums, which are added last.  Whether a pair at the kernel radius counts
+    rests on the last bit of this sum, so every neighbour path takes its
+    squared distances from here and decides such a pair alike.
+    """
+    partial = []
+    for k, x in enumerate(components):
+        if k < 2:
+            partial.append(x * x)
+        else:
+            partial[k % 2] += x * x
+    return partial[0] + partial[1]
+
+
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-particle dot products, summed column by column.
 
@@ -217,7 +234,7 @@ def _local_moments_dense(
     for s in range(0, n, block):
         e = min(n, s + block)
         disp = _min_image(positions[s:e, None, :] - positions[None, :, :], config.box_length)
-        w = _kernel_weights(np.einsum("pjk,pjk->pj", disp, disp), config)
+        w = _kernel_weights(_squared_lengths(disp.transpose(2, 0, 1)), config)
         moments[s:e] = np.einsum("pj,ja,jb->pab", w, orientations, orientations)
         wsum[s:e] = w.sum(axis=1)
     return moments, wsum
@@ -246,19 +263,11 @@ def _local_moments(
     pairs = tree.query_pairs(config.R * (1.0 + 1e-9), output_type="ndarray")
     i, j = np.ascontiguousarray(pairs.T)
     del pairs
-    # Squared distances gather in two partial sums, of the even and of the
-    # odd components, added last: the order in which einsum reduces a row in
-    # _local_moments_dense and local_mean_direction, so that every path
-    # decides a pair at the kernel radius alike.
-    partial = np.zeros((2, i.size))
-    for k in range(d):
-        x = positions[:, k]
-        disp = _min_image(x[i] - x[j], config.box_length)
-        disp *= disp
-        partial[k % 2] += disp
-    del disp
-    w = _kernel_weights(partial[0] + partial[1], config)
-    del partial
+    dist2 = _squared_lengths(
+        _min_image(x[i] - x[j], config.box_length) for x in positions.T
+    )
+    w = _kernel_weights(dist2, config)
+    del dist2
     w_self = float(_kernel_weights(np.zeros(1), config)[0])
 
     wsum = w_self + np.bincount(i, weights=w, minlength=n)
@@ -331,7 +340,7 @@ def local_mean_direction(
     quantity for all particles at once through a periodic k-d tree.
     """
     disp = _min_image(state.positions - state.positions[i], config.box_length)
-    weights = _kernel_weights(np.einsum("nk,nk->n", disp, disp), config)
+    weights = _kernel_weights(_squared_lengths(disp.T), config)
     Q = qtensor_from_orientations(state.orientations, weights)
     try:
         return leading_direction(Q).direction

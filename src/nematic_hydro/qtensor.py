@@ -28,7 +28,9 @@ def qtensor_from_orientations(
     orientations: np.ndarray, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Weighted average of omega (x) omega - Id/d over the rows of orientations."""
-    omega = np.atleast_2d(np.asarray(orientations, dtype=float))
+    # one memory layout for every input, so that the matrix product below,
+    # and with it the last bits of Q, depend on the values alone
+    omega = np.asfortranarray(np.atleast_2d(orientations), dtype=float)
     if omega.shape[0] == 0:
         raise ValueError("empty orientation list")
     n, d = omega.shape

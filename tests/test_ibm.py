@@ -11,6 +11,7 @@ from nematic_hydro.ibm import (
     _local_moments,
     _local_moments_dense,
     _mean_directions,
+    _squared_lengths,
     _stream,
     _wrap,
     coarse_grain,
@@ -169,6 +170,23 @@ def test_tree_keeps_a_pair_at_the_kernel_radius():
     assert np.array_equal(w2, [2.0, 2.0])
     assert np.array_equal(w1, w2)
     assert np.abs(m1 - m2).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_squared_lengths_add_even_and_odd_components_apart(rng, d):
+    # every neighbour path decides membership at the kernel radius from this
+    # one summation order, written out here for each row
+    disp = rng.standard_normal((200, d))
+    expected = []
+    for row in disp.tolist():
+        even = odd = None
+        for k, x in enumerate(row):
+            if k % 2:
+                odd = x * x if odd is None else odd + x * x
+            else:
+                even = x * x if even is None else even + x * x
+        expected.append(even + odd)
+    assert np.array_equal(_squared_lengths(disp.T), expected)
 
 
 def test_wrap_keeps_tiny_negative_coordinates_inside_the_box():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from nematic_hydro import kinetic
 from nematic_hydro.kinetic import (
     AngularDensity,
     bump_density,
@@ -14,6 +16,7 @@ from nematic_hydro.kinetic import (
     relaxation_series,
 )
 from nematic_hydro.qtensor import DegenerateLeadingEigenvalue
+from nematic_hydro.sphere import angle_weight_norm
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -40,6 +43,18 @@ def test_angular_density_validation():
         bad.validate()
     with pytest.raises(ValueError):
         AngularDensity(d=3, values=2 * np.ones(16)).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cells_rejected(bad):
+    # a NaN cell fails no comparison, so only an explicit finiteness check
+    # keeps it out of the march; T = 0 takes no step that could trip on it
+    f = bump_density(64, 3)
+    f.values[10] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        f.validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(f, 4.0, 1.0, dt=0.1, T=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -128,3 +143,65 @@ def test_timescale_set_by_noise():
     fast = evolve(f, 4.0, 2.0, dt=1e-3, T=1.0)
     assert np.abs(slow.values - fast.values).max() < 1e-13
     assert l1_distance_to_equilibrium(fast, 4.0) < l1_distance_to_equilibrium(f, 4.0)
+
+
+def _reference_evolve(f0, kappa, D, dt, T, u_policy="fixed"):
+    """Hand copy of the backward-Euler march that factors per call and steps
+    with cho_solve_banded; evolve must reproduce it bit for bit."""
+    if dt <= 0 or T < 0 or D <= 0:
+        raise ValueError("need dt > 0, T >= 0, D > 0")
+    f0.validate()
+    steps = int(round(T / dt))
+    n = f0.n
+    dtheta = np.pi / n
+    mu = f0.measures
+    E = np.exp(0.5 * kappa * np.cos(f0.theta_centers) ** 2)
+    faces = np.linspace(0.0, np.pi, n + 1)[1:-1]
+    w_face = (
+        np.exp(0.5 * kappa * np.cos(faces) ** 2)
+        * np.sin(faces) ** (f0.d - 2)
+        / angle_weight_norm(f0.d - 2)
+    )
+    w = dt * D * w_face / dtheta
+    ab = np.zeros((2, n))
+    ab[1, :] = mu * E
+    ab[1, :-1] += w
+    ab[1, 1:] += w
+    ab[0, 1:] = -w
+    chol = cholesky_banded(ab)
+    state = AngularDensity(d=f0.d, values=f0.values.copy())
+    for _ in range(steps):
+        kinetic._resolve_axis(state, u_policy)
+        g = cho_solve_banded((chol, False), mu * state.values)
+        state.values = E * g
+    return state
+
+
+@pytest.mark.parametrize("u_policy", ["fixed", "self-consistent"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_march_matches_cho_solve_banded_reference(d, u_policy, monkeypatch):
+    f = bump_density(120, d, center=0.4)
+    args = (3.5, 0.8, 2e-3, 0.3)
+    ref = _reference_evolve(f, *args, u_policy=u_policy)
+    out = evolve(f, *args, u_policy=u_policy)
+    assert np.array_equal(out.values, ref.values)
+    series = relaxation_series(f, *args, n_samples=7, u_policy=u_policy)
+    monkeypatch.setattr(kinetic, "evolve", _reference_evolve)
+    ref_series = relaxation_series(f, *args, n_samples=7, u_policy=u_policy)
+    assert np.array_equal(series, ref_series)
+
+
+def test_relaxation_series_factors_once(monkeypatch):
+    calls = []
+
+    def counting_cholesky(ab):
+        calls.append(ab.shape)
+        return cholesky_banded(ab)
+
+    monkeypatch.setattr(kinetic, "cholesky_banded", counting_cholesky)
+    kinetic._backward_euler_factor.cache_clear()
+    rows = relaxation_series(bump_density(80, 3), 4.0, 1.0, dt=1e-2, T=0.8, n_samples=40)
+    assert len(rows) == 41
+    assert calls == [(2, 80)]
+    for a in kinetic._backward_euler_factor(80, 3, 4.0, 1.0, 1e-2):
+        assert not a.flags.writeable

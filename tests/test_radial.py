@@ -3,6 +3,7 @@ cross-check frozen into probe values, residual levels, parity, and signs."""
 import numpy as np
 import pytest
 
+from nematic_hydro.gci import radial
 from nematic_hydro.gci.radial import (
     DIRICHLET_KINDS,
     NEUMANN_KINDS,
@@ -184,3 +185,18 @@ def test_zero_mean_kinds_carry_no_defect_at_origin(n):
     for kind in ("a", "b"):
         values = bundle[kind].values
         assert np.array_equal(values, values[::-1]), kind
+
+
+def test_bundle_independent_of_quadrature_cache():
+    """The grid quadrature and the derivative mass matrices are cached per
+    resolution; a solve from a cleared cache and one from a warm cache are
+    bitwise equal, and the shared arrays cannot be written."""
+    radial._element_quadrature.cache_clear()
+    radial._derivative_mass.cache_clear()
+    cold = solve_bundle(3.0, 3, 512)
+    warm = solve_bundle(3.0, 3, 512)
+    for kind in ALL_KINDS:
+        assert np.array_equal(cold[kind].values, warm[kind].values)
+        assert np.array_equal(cold[kind].derivative_values, warm[kind].derivative_values)
+    cached = (*radial._element_quadrature(256), radial._derivative_mass(256))
+    assert all(not a.flags.writeable for a in cached)
