@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..constants import step_count
 from ..gci.coefficients import compute_coefficients
 from ..gci.corrector import CorrectorInputs
 from ..gci.radial import solve_bundle
@@ -185,7 +186,7 @@ def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
             solve_bundle(kappa, d, p["n_profile"]), kappa, d
         )
     macro_cfg = MacroConfig.at_cfl(coefficients, field.dx, p["cfl_safety"])
-    n_steps = max(1, int(round(p["T"] / macro_cfg.dt)))
+    n_steps = step_count(p["T"], macro_cfg.dt)
     snap_at = sorted(set(np.linspace(0, n_steps, p["snapshots"] + 1).round().astype(int)))
     chash = config_hash(cfg_text)
     mid = (slice(None),) + (p["grid_n"] // 2,) * (d - 1)
@@ -268,7 +269,7 @@ def _validate_corrector(p: dict, chash: str, out: Path) -> None:
     grad_u[d - 1, 0] = 0.15  # nonzero (u.grad)u keeps the curvature channel active
     grad_rho = 0.3 * np.ones(d)
     inputs = CorrectorInputs(rho=1.1, grad_rho=grad_rho, u=u, grad_u=grad_u)
-    resolutions = (256, 512, 1024) if p["n"] >= 1024 else (p["n"] // 4, p["n"] // 2, p["n"])
+    resolutions = (p["n"] // 4, p["n"] // 2, p["n"])
     rows = []
     for n in resolutions:
         channels = corrector_channel_residuals(inputs, solve_bundle(kappa, d, n), kappa)

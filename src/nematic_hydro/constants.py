@@ -1,4 +1,4 @@
-"""Shared numeric tolerances and floors, fixed in one place."""
+"""Shared numeric tolerances, floors and the horizon-to-step rule, fixed in one place."""
 
 UNIT_TOL = 1e-12
 """Tolerance for unit-norm checks on directions."""
@@ -8,3 +8,11 @@ GAP_FLOOR = 1e-9
 
 RHO_FLOOR = 1e-12
 """Density positivity floor; the macro integrator refuses to divide below it."""
+
+
+def step_count(T: float, dt: float) -> int:
+    """Steps of size dt that reach the horizon T; at least one is required."""
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon T = {T:.3g} is shorter than one step of {dt:.3g}")
+    return n_steps

@@ -75,9 +75,6 @@ class CoefficientSet:
     aux_a_over_kappa: float
     aux_ke_combination: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in COEFFICIENT_NAMES}
-
     def identity_defects(self) -> dict[str, float]:
         """Absolute defects of the six internal identities."""
         return {

@@ -17,7 +17,16 @@ from ..sphere import assert_unit
 from .equilibrium import Equilibrium
 from .radial import RadialSolution
 
-CORRECTOR_KINDS = ("a", "b", "c", "e", "k")
+CORRECTOR_CHANNELS = {
+    "a": "density_gradient",
+    "b": "curvature",
+    "c": "parallel_gradient",
+    "e": "shear",
+    "k": "divergence",
+}
+"""Profile kind of each corrector channel -> the channel's name in reports."""
+
+CORRECTOR_KINDS = tuple(CORRECTOR_CHANNELS)
 
 TANGENCY_TOL = 1e-10
 
@@ -66,6 +75,32 @@ class CorrectorInputs:
             raise ValueError(f"(grad u) u = 0 violated by {defect:.2e}")
 
 
+def channel_envelopes(
+    inputs: CorrectorInputs, kappa: float, omega: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Angular envelope of each corrector channel at the orientations omega.
+
+    Channel kind of the corrector is rho * M_u * (profile kind at omega.u)
+    times its envelope, keyed like CORRECTOR_CHANNELS.  Accepts a single
+    orientation (d,) or a stack (m, d); every envelope has the shape of
+    omega . u.
+    """
+    omega = np.asarray(omega, dtype=float)
+    u = inputs.u
+    r = omega @ u
+    omega_perp = omega - np.multiply.outer(r, u)
+    grad_log_rho = inputs.grad_rho / inputs.rho
+    curvature = u @ inputs.grad_u  # (u . grad) u
+    div_u = float(np.trace(inputs.grad_u))
+    return {
+        "a": omega_perp @ grad_log_rho,
+        "b": kappa * (omega_perp @ curvature),
+        "c": np.full(r.shape, float(u @ grad_log_rho)),
+        "e": kappa * np.einsum("...i,ij,...j->...", omega_perp, inputs.grad_u, omega_perp),
+        "k": np.full(r.shape, kappa * div_u),
+    }
+
+
 def _validate_corrector_bundle(bundle: dict[str, RadialSolution], eq: Equilibrium) -> None:
     missing = [k for k in CORRECTOR_KINDS if k not in bundle]
     if missing:
@@ -91,26 +126,10 @@ def corrector_f1(
     second moment aligned with u (both within 1e-8 at default resolution).
     """
     _validate_corrector_bundle(bundle, eq)
-    omega = np.asarray(omega, dtype=float)
-    u = inputs.u
-    kappa = eq.kappa
-    r = omega @ u
-    omega_perp = omega - np.multiply.outer(r, u)
-
-    grad_log_rho = inputs.grad_rho / inputs.rho
-    curvature = inputs.u @ inputs.grad_u  # (u . grad) u
-    div_u = float(np.trace(inputs.grad_u))
-
-    t_even_odd = bundle["a"](r) * (omega_perp @ grad_log_rho) + kappa * bundle["b"](
-        r
-    ) * (omega_perp @ curvature)
-    shear = np.einsum("...i,ij,...j->...", omega_perp, inputs.grad_u, omega_perp)
-    t_odd_even = (
-        bundle["c"](r) * float(u @ grad_log_rho)
-        + kappa * bundle["e"](r) * shear
-        + kappa * bundle["k"](r) * div_u
-    )
-    out = inputs.rho * eq.density(r) * (t_even_odd + t_odd_even)
+    envelopes = channel_envelopes(inputs, eq.kappa, omega)
+    r = np.asarray(omega, dtype=float) @ inputs.u
+    channel_sum = sum(bundle[kind](r) * envelopes[kind] for kind in CORRECTOR_KINDS)
+    out = inputs.rho * eq.density(r) * channel_sum
     return float(out) if out.ndim == 0 else out
 
 
@@ -123,14 +142,7 @@ def transport_source(
     split off its equilibrium factor; the corrector's channel sum applied to
     the conjugated collision operator reproduces it exactly.
     """
-    omega = np.asarray(omega, dtype=float)
-    u = inputs.u
-    r = omega @ u
-    omega_perp = omega - np.multiply.outer(r, u)
-    grad_log_rho = inputs.grad_rho / inputs.rho
-    curvature = inputs.u @ inputs.grad_u
-    shear = np.einsum("...i,ij,...j->...", omega_perp, inputs.grad_u, omega_perp)
-    s_even_odd = omega_perp @ grad_log_rho + kappa * r**2 * (omega_perp @ curvature)
-    s_odd_even = r * float(u @ grad_log_rho) + kappa * r * shear
-    out = s_even_odd + s_odd_even
+    env = channel_envelopes(inputs, kappa, omega)
+    r = np.asarray(omega, dtype=float) @ inputs.u
+    out = env["a"] + r**2 * env["b"] + r * env["c"] + r * env["e"]
     return float(out) if out.ndim == 0 else out

@@ -28,10 +28,6 @@ class Equilibrium:
         """M as a function of r = omega.u."""
         return np.exp(0.5 * self.kappa * np.asarray(r, dtype=float) ** 2) / self.Z
 
-    def log_density_derivative(self, r: np.ndarray) -> np.ndarray:
-        """d/dr log M = kappa r."""
-        return self.kappa * np.asarray(r, dtype=float)
-
 
 _N_QUAD = 256
 """Nodes of the Gauss-Jacobi rule behind Z."""

@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constants import GAP_FLOOR
+from .constants import GAP_FLOOR, step_count
 from .qtensor import (
     DegenerateLeadingEigenvalue,
     leading_direction,
@@ -419,14 +419,6 @@ def step(
     return ParticleState(new_pos, new_omega, state.time + dt)
 
 
-def _step_count(T: float, dt: float) -> int:
-    """Steps of size dt that reach the horizon T; at least one is required."""
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError(f"horizon T = {T:.3g} is shorter than one step of {dt:.3g}")
-    return n_steps
-
-
 def initial_state(config: IbmConfig) -> ParticleState:
     """Uniform positions and isotropic orientations from the reserved stream."""
     gen = _stream(config.seed, _INIT_STREAM)
@@ -470,7 +462,7 @@ def run(
         raise ValueError("T > 0 required")
     if int(observe_every) != observe_every or observe_every < 1:
         raise ValueError("observe_every must be a positive integer")
-    n_steps = _step_count(T, config.dt)
+    n_steps = step_count(T, config.dt)
     state = initial_state(config)
     observations = [_observe(state, config, coarse_grid_n, coarse_bandwidth)]
     for t in range(n_steps):

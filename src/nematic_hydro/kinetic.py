@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .constants import GAP_FLOOR
+from .constants import GAP_FLOOR, step_count
 from .gci.equilibrium import make_equilibrium
 from .qtensor import DegenerateLeadingEigenvalue
 from .sphere import angle_weight_norm
@@ -160,14 +160,11 @@ def _resolve_axis(f: AngularDensity, u_policy: str) -> None:
         )
 
 
-def gamma_apply(
-    f: AngularDensity, kappa: float, D: float, u_policy: str = "fixed"
-) -> np.ndarray:
+def gamma_apply(f: AngularDensity, kappa: float, D: float) -> np.ndarray:
     """Collision operator applied to f, as cell-average rates of change.
 
     The output's discrete mass is exactly zero (telescoping face fluxes).
     """
-    _resolve_axis(f, u_policy)
     n = f.n
     dtheta = np.pi / n
     g = f.values / _centre_weights(f, kappa)
@@ -277,7 +274,7 @@ def relaxation_series(
     """
     if n_samples < 1:
         raise ValueError("n_samples >= 1")
-    steps_total = int(round(T / dt))
+    steps_total = step_count(T, dt)
     sample_steps = sorted(set(int(round(steps_total * j / n_samples)) for j in range(n_samples + 1)))
     rows = []
     state = f0

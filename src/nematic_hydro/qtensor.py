@@ -47,13 +47,13 @@ def qtensor_from_orientations(
     return second - np.eye(d) / d
 
 
-def leading_direction(Q: np.ndarray, prev: np.ndarray | None = None) -> SpectralInfo:
-    """Leading unit eigenvector of Q with a continuous sign convention.
+def leading_direction(Q: np.ndarray) -> SpectralInfo:
+    """Leading unit eigenvector of Q with a deterministic sign convention.
 
-    Sign: align with prev when given, else make the first nonzero component
-    positive.  Raises DegenerateLeadingEigenvalue when the spectral gap falls
-    below GAP_FLOOR; callers choose their own fallback (the particle stepper
-    drops the alignment drift for that particle and step).
+    Sign: the first nonzero component is positive.  Raises
+    DegenerateLeadingEigenvalue when the spectral gap falls below GAP_FLOOR;
+    callers choose their own fallback (the particle stepper drops the
+    alignment drift for that particle and step).
     """
     lam, V = np.linalg.eigh(np.asarray(Q, dtype=float))
     gap = float(lam[-1] - lam[-2])
@@ -62,13 +62,9 @@ def leading_direction(Q: np.ndarray, prev: np.ndarray | None = None) -> Spectral
             f"leading eigenvalue gap {gap:.3e} below floor {GAP_FLOOR:.3e}"
         )
     v = V[:, -1]
-    if prev is not None:
-        if float(np.asarray(prev) @ v) < 0.0:
-            v = -v
-    else:
-        nz = np.nonzero(np.abs(v) > 1e-14)[0]
-        if nz.size and v[nz[0]] < 0.0:
-            v = -v
+    nz = np.nonzero(np.abs(v) > 1e-14)[0]
+    if nz.size and v[nz[0]] < 0.0:
+        v = -v
     v = v / np.linalg.norm(v)
     return SpectralInfo(direction=v, leading_eigenvalue=float(lam[-1]))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gamma, pi, sqrt
-from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -59,17 +58,11 @@ def complete_basis(axis: np.ndarray) -> np.ndarray:
 class SphereQuadrature:
     """Product quadrature on S^{d-1} around an axis, normalized to total mass 1.
 
-    nodes: (N, d) unit vectors; weights sum to 1.  r_nodes/r_weights are the
-    underlying radial (r = omega.axis) rule with weights summing to 1, kept so
-    axisymmetric integrands can reuse the 1D rule.
+    nodes: (N, d) unit vectors; weights sum to 1.
     """
 
-    d: int
-    axis: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    r_nodes: np.ndarray
-    r_weights: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Sum values against the weights (values indexed like nodes)."""
@@ -115,56 +108,4 @@ def build_quadrature(d: int, axis: np.ndarray, n: int) -> SphereQuadrature:
     nodes = r[:, None, None] * axis[None, None, :] + s[:, None, None] * perp[None, :, :]
     weights = (wr[:, None] * wz[None, :]).reshape(-1)
     nodes = nodes.reshape(-1, d)
-    return SphereQuadrature(
-        d=d,
-        axis=axis,
-        nodes=nodes,
-        weights=weights / weights.sum(),
-        r_nodes=r,
-        r_weights=wr,
-    )
-
-
-def sigma_tensor(u: np.ndarray) -> np.ndarray:
-    """Fully symmetric fourth-order tensor 3 Sym(P (x) P) for P = Id - u(x)u.
-
-    Components P_ij P_kl + P_ik P_jl + P_il P_jk; contracting two index pairs
-    against gradients of u produces the transverse-isotropic combinations used
-    by the macro system.
-    """
-    u = assert_unit(u)
-    P = np.eye(u.size) - np.outer(u, u)
-    return (
-        np.einsum("ij,kl->ijkl", P, P)
-        + np.einsum("ik,jl->ijkl", P, P)
-        + np.einsum("il,jk->ijkl", P, P)
-    )
-
-
-def angular_moment(
-    a: Callable[[np.ndarray], np.ndarray],
-    u: np.ndarray,
-    order: int,
-    quad: SphereQuadrature,
-) -> np.ndarray:
-    """Moments int a(omega.u) omega_perp^{(x)order} d(omega) in closed tensor form.
-
-    Odd orders vanish by the omega_perp -> -omega_perp symmetry and return the
-    zero tensor.  Order 2 equals [int a(r)(1-r^2)/(d-1)] P_{u-perp}; order 4
-    equals [int a(r)(1-r^2)^2/(d^2-1)] Sigma(u).  The scalar prefactors are
-    evaluated with the quadrature's radial rule.
-    """
-    u = assert_unit(u)
-    d = u.size
-    if order % 2 == 1:
-        return np.zeros((d,) * order)
-    r = quad.r_nodes
-    ar = np.asarray(a(r), dtype=float)
-    P = np.eye(d) - np.outer(u, u)
-    if order == 2:
-        pref = float(quad.r_weights @ (ar * (1.0 - r**2))) / (d - 1)
-        return pref * P
-    if order == 4:
-        pref = float(quad.r_weights @ (ar * (1.0 - r**2) ** 2)) / (d**2 - 1)
-        return pref * sigma_tensor(u)
-    raise ValueError(f"unsupported moment order {order}")
+    return SphereQuadrature(nodes=nodes, weights=weights / weights.sum())

@@ -20,7 +20,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .gci.corrector import CorrectorInputs, gci_vector
+from .constants import step_count
+from .gci.corrector import (
+    CORRECTOR_CHANNELS,
+    CorrectorInputs,
+    channel_envelopes,
+    gci_vector,
+)
 from .gci.equilibrium import make_equilibrium
 from .gci.radial import RadialSolution, strong_defect
 from .ibm import (
@@ -29,7 +35,6 @@ from .ibm import (
     coarse_grain,
     initial_state,
     step,
-    _step_count,
     _stream,
 )
 from .macro import MacroConfig, MacroField
@@ -42,11 +47,8 @@ __all__ = [
     "eps_expansion_study",
     "rotating_equilibrium_family",
     "AlignedPerturbation",
-    "gci_orthogonality_check",
     "gci_orthogonality_report",
-    "CORRECTOR_CHANNELS",
     "corrector_channel_residuals",
-    "corrector_residual",
     "EquilibriumStats",
     "aligned_marginal_cdf",
     "ibm_equilibrium_statistics",
@@ -296,38 +298,8 @@ def gci_orthogonality_report(
     return {"orthogonality": orth, "mass": mass}
 
 
-def gci_orthogonality_check(
-    field: AlignedPerturbation,
-    h_sol: RadialSolution,
-    kappa: float,
-    D: float,
-) -> float:
-    """Norm of the collision-operator integral against the vector invariant.
-
-    Also verifies that the plain integral of the operator vanishes (the mass
-    invariant); a violation beyond 1e-8 raises ArithmeticError since it
-    signals an inconsistent pointwise evaluation rather than a property of
-    the field.
-    """
-    report = gci_orthogonality_report(field, h_sol, kappa, D)
-    if report["mass"] > 1e-8:
-        raise ArithmeticError(
-            f"mass invariant violated: |integral| = {report['mass']:.3e}"
-        )
-    return report["orthogonality"]
-
-
 # ---------------------------------------------------------------------------
 # corrector strong-form defect
-
-
-CORRECTOR_CHANNELS = {
-    "a": "density_gradient",
-    "b": "curvature",
-    "c": "parallel_gradient",
-    "e": "shear",
-    "k": "divergence",
-}
 
 
 def corrector_channel_residuals(
@@ -348,23 +320,9 @@ def corrector_channel_residuals(
     d = inputs.u.shape[0]
     eq = make_equilibrium(kappa, d)
     quad = build_quadrature(d, inputs.u, 96)
-    u = inputs.u
-    r = quad.nodes @ u
-    omega_perp = quad.nodes - np.multiply.outer(r, u)
+    r = quad.nodes @ inputs.u
     m_weight = eq.density(r)
-
-    grad_log_rho = inputs.grad_rho / inputs.rho
-    curvature = u @ inputs.grad_u
-    div_u = float(np.trace(inputs.grad_u))
-
-    envelopes = {
-        "a": omega_perp @ grad_log_rho,
-        "b": kappa * (omega_perp @ curvature),
-        "c": np.full(r.shape, float(u @ grad_log_rho)),
-        "e": kappa
-        * np.einsum("mi,ij,mj->m", omega_perp, inputs.grad_u, omega_perp),
-        "k": np.full(r.shape, kappa * div_u),
-    }
+    envelopes = channel_envelopes(inputs, kappa, quad.nodes)
 
     out = {}
     for kind, name in CORRECTOR_CHANNELS.items():
@@ -375,15 +333,6 @@ def corrector_channel_residuals(
         pointwise = inputs.rho * m_weight * defect_at * envelopes[kind]
         out[name] = float(np.max(np.abs(pointwise)))
     return out
-
-
-def corrector_residual(
-    inputs: CorrectorInputs,
-    bundle: dict[str, RadialSolution],
-    kappa: float,
-) -> float:
-    """Largest channel defect of the corrector equation at these inputs."""
-    return max(corrector_channel_residuals(inputs, bundle, kappa).values())
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +397,7 @@ def ibm_equilibrium_statistics(config: IbmConfig, T: float) -> EquilibriumStats:
         raise ValueError("equilibrium statistics require the global kernel")
     if config.D <= 0.0:
         raise ValueError("D > 0 required, the marginal is ill-defined otherwise")
-    n_steps = _step_count(T, config.dt)
+    n_steps = step_count(T, config.dt)
     state = initial_state(config)
     for t in range(n_steps):
         state = step(state, config, _stream(config.seed, t))
@@ -534,11 +483,13 @@ def _coarse_fields(
     return rho_hat, filled, valid
 
 
-# density bump amplitude, coarse-graining bandwidth in cells, and the
-# fraction of the diffusive bound taken as the continuum step
+# density bump amplitude, coarse-graining bandwidth in cells, the fraction
+# of the diffusive bound taken as the continuum step, and the number of
+# comparison times
 _CROSS_BUMP = 0.5
 _CROSS_BANDWIDTH_CELLS = 1.5
 _CROSS_CFL_SAFETY = 0.2
+_CROSS_CHECKPOINTS = 4
 
 
 def particle_vs_macro(
@@ -548,7 +499,6 @@ def particle_vs_macro(
     *,
     coefficients=None,
     grid_n: int = 32,
-    n_checkpoints: int = 4,
 ) -> CrossScaleReport:
     """Particle run against the limiting continuum system, parabolically matched.
 
@@ -558,7 +508,7 @@ def particle_vs_macro(
     particle initial data (Gaussian bandwidth 1.5 cells) on a box of length
     eps L, and both systems advance to the matched horizon: micro time
     D T_macro / eps^2, with a continuum step at 0.2 of its diffusive bound.
-    Distances are recorded at n_checkpoints intermediate times.
+    Distances are recorded at _CROSS_CHECKPOINTS intermediate times.
     """
     from .gci.coefficients import compute_coefficients
     from .gci.radial import solve_bundle
@@ -567,7 +517,7 @@ def particle_vs_macro(
         raise ValueError("D > 0 required for the parabolic matching")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps in (0, 1) required")
-    n_micro = _step_count(config.D * T_macro / eps**2, config.dt)
+    n_micro = step_count(config.D * T_macro / eps**2, config.dt)
     kappa = config.nu / config.D
     d = config.d
     if coefficients is None:
@@ -591,9 +541,9 @@ def particle_vs_macro(
     macro_cfg = MacroConfig.at_cfl(coefficients, dx, _CROSS_CFL_SAFETY)
     dt_macro = macro_cfg.dt
 
-    n_macro = _step_count(T_macro, dt_macro)
+    n_macro = step_count(T_macro, dt_macro)
     check_micro = np.unique(
-        np.clip(np.round(np.linspace(1, n_micro, n_checkpoints)).astype(int), 1, n_micro)
+        np.clip(np.round(np.linspace(1, n_micro, _CROSS_CHECKPOINTS)).astype(int), 1, n_micro)
     )
     check_macro = np.clip(
         np.round(check_micro * (n_macro / n_micro)).astype(int), 1, n_macro

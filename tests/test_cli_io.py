@@ -22,8 +22,9 @@ from nematic_hydro.cli_io.output import (
     write_field_snapshot,
     write_observation_binary,
 )
+from nematic_hydro.gci.coefficients import COEFFICIENT_NAMES
+from nematic_hydro.gci.corrector import CORRECTOR_CHANNELS
 from nematic_hydro.macro import CflViolation, MacroField
-from nematic_hydro.validation import CORRECTOR_CHANNELS
 
 IBM_TEXT = """\
 # comment survives anywhere  # even twice
@@ -154,8 +155,8 @@ class TestCoefficientTable:
         assert cells["theorem_H1"] == cells["theorem_E1"]  # bitwise in text
         assert float(cells["max_discrepancy"]) < 1e-8
         loaded = load_coefficient_row(path, 2.0, 3)
-        for name, value in coeffs_k2d3.as_dict().items():
-            assert getattr(loaded, name) == value, name
+        for name in COEFFICIENT_NAMES:
+            assert getattr(loaded, name) == getattr(coeffs_k2d3, name), name
         side = json.loads((tmp_path / "coefficients.csv.json").read_text())
         assert side["config_sha256"] == "deadbeef"
         assert side["rows"] == 1
@@ -254,16 +255,19 @@ class TestMain:
         for name in ("observations.csv", "observations.bin", "observations.csv.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_ibm_horizon_shorter_than_one_step_exit_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, IBM_TEXT.replace("T = 0.05", "T = 0.001"))
-        assert cli.main(["ibm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "shorter than one step" in capsys.readouterr().err
-
-    def test_validate_cross_horizon_shorter_than_one_step_exit_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "[validate]\ncross_T = 1e-5\n")
-        out = tmp_path / "o"
-        code = cli.main(["validate", "--suite", "cross", "--config", str(cfg), "--out", str(out)])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["ibm"], IBM_TEXT.replace("T = 0.05", "T = 0.001")),
+            (["validate", "--suite", "cross"], "[validate]\ncross_T = 1e-5\n"),
+            (["macro"], "[macro]\nkappa = 4.0\nd = 2\ngrid_n = 16\nT = 1e-9\n"),
+            (["kinetic"], KINETIC_TEXT.replace("T = 0.2", "T = 1e-4")),
+        ],
+        ids=["ibm", "validate-cross", "macro", "kinetic"],
+    )
+    def test_horizon_shorter_than_one_step_exit_2(self, tmp_path, capsys, argv, text):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "shorter than one step" in capsys.readouterr().err
 
     def test_validate_equilibrium_accepts_radius_beyond_half_box(self, tmp_path):
@@ -354,17 +358,20 @@ class TestMain:
             return real(kappa, d, n)
 
         monkeypatch.setattr(cli, "solve_bundle", counting)
-        cfg = write_cfg(tmp_path, "[validate]\nn = 256\n")
-        out = tmp_path / "out"
-        code = cli.main(
-            ["validate", "--suite", "corrector", "--config", str(cfg), "--out", str(out)]
-        )
-        assert code == 0
-        assert solved == [64, 128, 256]
-        report = json.loads((out / "corrector_report.json").read_text())
-        header = (out / "corrector_curve.csv").read_text().splitlines()[0].split(",")
-        assert header[2:] == list(CORRECTOR_CHANNELS.values())
-        assert set(report["channels"]) == set(CORRECTOR_CHANNELS.values())
+        for n, expected in ((256, [64, 128, 256]), (2048, [512, 1024, 2048])):
+            solved.clear()
+            cfg = write_cfg(tmp_path, f"[validate]\nn = {n}\n")
+            out = tmp_path / f"out{n}"
+            code = cli.main(
+                ["validate", "--suite", "corrector", "--config", str(cfg), "--out", str(out)]
+            )
+            assert code == 0
+            assert solved == expected
+            report = json.loads((out / "corrector_report.json").read_text())
+            assert report["resolutions"] == expected
+            header = (out / "corrector_curve.csv").read_text().splitlines()[0].split(",")
+            assert header[2:] == list(CORRECTOR_CHANNELS.values())
+            assert set(report["channels"]) == set(CORRECTOR_CHANNELS.values())
 
     def test_validate_requires_suite(self, capsys):
         with pytest.raises(SystemExit):

@@ -115,7 +115,7 @@ def test_dissipation_bounds_entropy_decay():
 def test_uniform_density_degenerate_axis():
     uniform = AngularDensity(d=3, values=np.ones(64))
     with pytest.raises(DegenerateLeadingEigenvalue):
-        gamma_apply(uniform, 4.0, 1.0, u_policy="self-consistent")
+        evolve(uniform, 4.0, 1.0, dt=0.1, T=0.1, u_policy="self-consistent")
 
 
 def test_aligned_bump_passes_self_consistency():

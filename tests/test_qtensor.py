@@ -78,9 +78,6 @@ def test_leading_direction_deterministic_sign(rng):
     # first nonzero component is positive by convention
     nz = d1[np.abs(d1) > 0][0]
     assert nz > 0
-    # a previous estimate pins the sign instead when provided
-    d3 = leading_direction(q, prev=-d1).direction
-    assert np.array_equal(d3, -d1)
 
 
 def test_degenerate_spectrum_raises():

@@ -4,7 +4,6 @@ from scipy.special import beta as beta_fn
 
 from nematic_hydro.sphere import (
     SphereQuadrature,
-    angular_moment,
     assert_unit,
     build_quadrature,
     complete_basis,
@@ -68,16 +67,13 @@ def test_assert_unit_rejects_off_sphere_vectors():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_second_order_moment_matches_direct_sum(d):
+    # closed form: [int a(r)(1 - r^2) / (d - 1)] P_{u-perp}
     u = np.zeros(d)
     u[0] = 1.0
     quad = build_quadrature(d, u, 48)
-    a_vals = 1.0 + 0.5 * (quad.nodes @ u) ** 2
-
-    def a_func(r):
-        return 1.0 + 0.5 * r**2
-
-    moment = angular_moment(a_func, u, 2, quad)
     r = quad.nodes @ u
+    a_vals = 1.0 + 0.5 * r**2
+    moment = (quad.weights @ (a_vals * (1.0 - r**2))) / (d - 1) * (np.eye(d) - np.outer(u, u))
     perp = quad.nodes - np.multiply.outer(r, u)
     direct = np.einsum("m,m,mi,mj->ij", quad.weights, a_vals, perp, perp)
     assert np.abs(moment - direct).max() < 1e-12
