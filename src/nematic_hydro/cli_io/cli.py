@@ -46,9 +46,6 @@ from .output import (
     write_sidecar,
 )
 
-VALIDATE_SUITES = ("scaling", "gci", "corrector", "equilibrium", "cross")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nematic-hydro",
@@ -59,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name == "validate":
             p.add_argument("--config", type=Path, default=None)
-            p.add_argument("--suite", choices=VALIDATE_SUITES, required=True)
+            p.add_argument("--suite", choices=tuple(_SUITES), required=True)
         else:
             p.add_argument("--config", type=Path, required=True)
         p.add_argument("--out", type=Path, default=None)
@@ -215,25 +212,23 @@ def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
         emit(i_snap, field)
 
 
-def _validate_scaling(p: dict, chash: str, out: Path) -> None:
+# (report, curve header, curve rows) of one validate suite
+_SuiteResult = tuple[dict, list[str], "np.ndarray | list[list]"]
+
+
+def _validate_scaling(p: dict) -> _SuiteResult:
     f = rotating_equilibrium_family(p["kappa"], 2)
     report = eps_expansion_study(f, p["eps"], d=2)
     control = eps_expansion_study(f, [e / 2 for e in p["eps"]], d=2, asymmetry=0.5)
-    write_json(out / "scaling_report.json", {
-        "suite": "scaling",
+    return {
         "slope": report.slope,
         "asymmetric_control_slope": control.slope,
         "eps": list(map(float, report.eps_values)),
         "errors": list(map(float, report.errors)),
-    })
-    write_csv(
-        out / "scaling_curve.csv", ["eps", "error"],
-        np.column_stack([report.eps_values, report.errors]),
-    )
-    write_sidecar(out / "scaling_curve.csv", chash)
+    }, ["eps", "error"], np.column_stack([report.eps_values, report.errors])
 
 
-def _validate_gci(p: dict, chash: str, out: Path) -> None:
+def _validate_gci(p: dict) -> _SuiteResult:
     kappa, d = p["kappa"], p["d"]
     h_sol = solve_bundle(kappa, d, p["n"])["h"]
     gen = np.random.Generator(np.random.Philox(key=np.array([p["seed"], 0], dtype=np.uint64)))
@@ -249,23 +244,21 @@ def _validate_gci(p: dict, chash: str, out: Path) -> None:
         rep = gci_orthogonality_report(field, h_sol, kappa, p["D"])
         rows.append([trial, rep["orthogonality"], rep["mass"]])
     rows_arr = np.array(rows)
-    write_json(out / "gci_report.json", {
-        "suite": "gci",
+    return {
         "max_orthogonality": float(rows_arr[:, 1].max()),
         "max_mass": float(rows_arr[:, 2].max()),
         "trials": int(p["trials"]),
-    })
-    write_csv(out / "gci_curve.csv", ["trial", "orthogonality", "mass"], rows)
-    write_sidecar(out / "gci_curve.csv", chash)
+    }, ["trial", "orthogonality", "mass"], rows
 
 
-def _validate_corrector(p: dict, chash: str, out: Path) -> None:
+def _validate_corrector(p: dict) -> _SuiteResult:
     kappa, d = p["kappa"], p["d"]
     u = np.zeros(d)
     u[-1] = 1.0
     grad_u = np.zeros((d, d))
     grad_u[: d - 1, : d - 1] = 0.2
-    grad_u[0, min(1, d - 1)] = -0.1
+    if d > 2:  # at d = 2 column 1 is the u column, which (grad u) u = 0 keeps zero
+        grad_u[0, 1] = -0.1
     grad_u[d - 1, 0] = 0.15  # nonzero (u.grad)u keeps the curvature channel active
     grad_rho = 0.3 * np.ones(d)
     inputs = CorrectorInputs(rho=1.1, grad_rho=grad_rho, u=u, grad_u=grad_u)
@@ -275,72 +268,64 @@ def _validate_corrector(p: dict, chash: str, out: Path) -> None:
         channels = corrector_channel_residuals(inputs, solve_bundle(kappa, d, n), kappa)
         rows.append([n, max(channels.values()), *channels.values()])
     names = list(channels)
-    write_json(out / "corrector_report.json", {
-        "suite": "corrector",
+    return {
         "residual": rows[-1][1],
         "channels": dict(zip(names, rows[-1][2:])),
         "resolutions": list(resolutions),
-    })
-    write_csv(out / "corrector_curve.csv", ["n", "residual", *names], rows)
-    write_sidecar(out / "corrector_curve.csv", chash)
+    }, ["n", "residual", *names], rows
 
 
-def _validate_equilibrium(p: dict, chash: str, out: Path) -> None:
+def _validate_equilibrium(p: dict) -> _SuiteResult:
     ibm_cfg = IbmConfig(
         N=p["N"], d=2, nu=p["nu"], D=p["D"], R=p["R"],
         kernel="global", dt=p["dt"], seed=p["seed"],
     )
     stats = ibm_equilibrium_statistics(ibm_cfg, p["T"])
-    write_json(out / "equilibrium_report.json", {
-        "suite": "equilibrium",
+    kappa = p["nu"] / p["D"]
+    r = np.linspace(-1.0, 1.0, 201)
+    cdf = aligned_marginal_cdf(kappa, 2)(r)
+    return {
         "ks_statistic": stats.ks_statistic,
         "ks_critical": stats.ks_critical,
         "n_samples": stats.n_samples,
         "sample_sufficient": stats.sample_sufficient,
         "order_parameter": stats.order_parameter,
-    })
-    kappa = p["nu"] / p["D"]
-    r = np.linspace(-1.0, 1.0, 201)
-    cdf = aligned_marginal_cdf(kappa, 2)(r)
-    write_csv(out / "equilibrium_curve.csv", ["r", "analytic_cdf"], np.column_stack([r, cdf]))
-    write_sidecar(out / "equilibrium_curve.csv", chash)
+    }, ["r", "analytic_cdf"], np.column_stack([r, cdf])
 
 
-def _validate_cross(p: dict, chash: str, out: Path) -> None:
+def _validate_cross(p: dict) -> _SuiteResult:
     ibm_cfg = IbmConfig(
         N=p["cross_N"], d=2, nu=p["nu"], D=p["D"], R=p["cross_R"],
         kernel="indicator", box_length=p["cross_box"], dt=p["cross_dt"],
         seed=p["seed"],
     )
-    report = particle_vs_macro(
-        ibm_cfg, p["cross_eps"], p["cross_T"], grid_n=p["grid_n"]
-    )
-    write_json(out / "cross_report.json", {
-        "suite": "cross",
+    report = particle_vs_macro(ibm_cfg, p["cross_eps"], p["cross_T"], grid_n=p["grid_n"])
+    curve = np.column_stack([report.times, report.density_distances, report.direction_distances])
+    return {
         "eps": report.eps,
         "final_density_distance": report.final_density_distance,
         "qualitative": True,
         "note": "single-realization comparison; sampling noise, coarse "
                 "graining, and finite scale separation all enter the distance",
-    })
-    write_csv(
-        out / "cross_curve.csv",
-        ["time", "density_distance", "direction_distance"],
-        np.column_stack([report.times, report.density_distances, report.direction_distances]),
-    )
-    write_sidecar(out / "cross_curve.csv", chash)
+    }, ["time", "density_distance", "direction_distance"], curve
+
+
+_SUITES = {
+    "scaling": _validate_scaling,
+    "gci": _validate_gci,
+    "corrector": _validate_corrector,
+    "equilibrium": _validate_equilibrium,
+    "cross": _validate_cross,
+}
 
 
 def _run_validate(cfg: RunConfig, cfg_text: str, out: Path, suite: str) -> None:
+    """<suite>_report.json and <suite>_curve.csv, each with its sidecar."""
     chash = config_hash(cfg_text)
-    runner = {
-        "scaling": _validate_scaling,
-        "gci": _validate_gci,
-        "corrector": _validate_corrector,
-        "equilibrium": _validate_equilibrium,
-        "cross": _validate_cross,
-    }[suite]
-    runner(cfg.params, chash, out)
+    report, header, rows = _SUITES[suite](cfg.params)
+    write_json(out / f"{suite}_report.json", {"suite": suite, **report})
+    write_csv(out / f"{suite}_curve.csv", header, rows)
+    write_sidecar(out / f"{suite}_curve.csv", chash)
     write_sidecar(out / f"{suite}_report.json", chash)
 
 

@@ -96,7 +96,10 @@ def max_discrepancy(a: CoefficientSet, b: CoefficientSet) -> float:
     return max(abs(getattr(a, n) - getattr(b, n)) for n in COEFFICIENT_NAMES)
 
 
-def _validate_bundle(bundle: dict[str, RadialSolution], kappa: float, d: int) -> None:
+def _profiles_at(
+    bundle: dict[str, RadialSolution], kappa: float, d: int, x: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Validate the bundle, then return h, a, b, c, e, k and a', b', c', e', k' at x."""
     missing = [k for k in ALL_KINDS if k not in bundle]
     if missing:
         raise ValueError(f"bundle missing kinds {missing}")
@@ -110,6 +113,8 @@ def _validate_bundle(bundle: dict[str, RadialSolution], kappa: float, d: int) ->
             )
     if kappa <= 0:
         raise ValueError("coefficient formulas require kappa > 0")
+    values = tuple(bundle[kind](x) for kind in "habcek")
+    return values + tuple(bundle[kind].derivative(x) for kind in "abcek")
 
 
 def _export(
@@ -131,24 +136,12 @@ def compute_coefficients(
     bundle: dict[str, RadialSolution], kappa: float, d: int, n_quad: int = DEFAULT_N_QUAD
 ) -> CoefficientSet:
     """Averaged-formula route, Gauss-Legendre in theta on (0, pi)."""
-    _validate_bundle(bundle, kappa, d)
     xg, wg = leggauss(n_quad)
     th = 0.5 * np.pi * (xg + 1.0)
     w = 0.5 * np.pi * wg
     ct, st = np.cos(th), np.sin(th)
+    h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, kappa, d, ct)
     E = np.exp(0.5 * kappa * ct**2)
-
-    h = bundle["h"](ct)
-    a = bundle["a"](ct)
-    b = bundle["b"](ct)
-    c = bundle["c"](ct)
-    e = bundle["e"](ct)
-    k = bundle["k"](ct)
-    ap = bundle["a"].derivative(ct)
-    bp = bundle["b"].derivative(ct)
-    cp = bundle["c"].derivative(ct)
-    ep = bundle["e"].derivative(ct)
-    kp = bundle["k"].derivative(ct)
 
     q = E * st ** (d - 2)
     s = E * np.abs(h * ct) * st**d
@@ -199,9 +192,9 @@ def compute_coefficients_derivation(
     bundle: dict[str, RadialSolution], kappa: float, d: int
 ) -> CoefficientSet:
     """Building-block route on Gauss-Jacobi((d-3)/2) nodes in r."""
-    _validate_bundle(bundle, kappa, d)
     alpha = (d - 3) / 2.0
     rj, wj = roots_jacobi(DEFAULT_N_QUAD, alpha, alpha)
+    h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, kappa, d, rj)
     E = np.exp(0.5 * kappa * rj**2)
     Z = float((wj * E).sum())
 
@@ -209,17 +202,6 @@ def compute_coefficients_derivation(
         """Sphere average against the aligned equilibrium."""
         return float((wj * E * f).sum()) / Z
 
-    h = bundle["h"](rj)
-    a = bundle["a"](rj)
-    b = bundle["b"](rj)
-    c = bundle["c"](rj)
-    e = bundle["e"](rj)
-    k = bundle["k"](rj)
-    ap = bundle["a"].derivative(rj)
-    bp = bundle["b"].derivative(rj)
-    cp = bundle["c"].derivative(rj)
-    ep = bundle["e"].derivative(rj)
-    kp = bundle["k"].derivative(rj)
     s2 = 1.0 - rj**2
     dm1, dp1 = d - 1.0, d + 1.0
 

@@ -1,16 +1,19 @@
 """The six radial profile problems h, a, b, c, e, k on r in (-1, 1).
 
-Each profile solves a degenerate Sturm-Liouville problem in self-adjoint form
-with weights E(r) (1-r^2)^mu, E(r) = exp(kappa r^2 / 2):
+Each profile solves a degenerate Sturm-Liouville problem in self-adjoint form,
+E(r) = exp(kappa r^2 / 2):
 
-  h, a, b:  -(1-r^2)^{(d-1)/2} E (kappa r^2 + d-1) phi
-               + d/dr[(1-r^2)^{(d+1)/2} E phi']  =  f (1-r^2)^{(d-1)/2} E,
-            f = r, 1, r^2 respectively;
-  e:        zero-order factor 2(kappa r^2 + d), exponents (d+1)/2 and (d+3)/2,
-            right-hand side r (1-r^2)^{(d+1)/2} E;
-  c, k:     d/dr[(1-r^2)^{(d-1)/2} E phi']  =  g (1-r^2)^{(d-3)/2} E,
-            g = r and -2 e(r), with the zero-mean normalization
-            int_{-1}^{1} phi dr = 0.
+  d/dr[(1-r^2)^mu E phi'] - (1-r^2)^{mu-1} E z0 phi  =  (1-r^2)^{mu-1} E f,
+
+with the stiffness exponent mu, the zero-order factor z0 and the load f of
+each kind in _PROBLEMS:
+
+  h, a, b:  mu = (d+1)/2, z0 = kappa r^2 + d-1, f = r, 1, r^2 respectively;
+  e:        mu = (d+3)/2, z0 = 2(kappa r^2 + d), f = r;
+  c, k:     mu = (d-1)/2, no zero-order term, f = r and -2 e(r), with the
+            zero-mean normalization int_{-1}^{1} phi dr = 0.
+
+Expanded, L phi = (1-r^2) phi'' + (kappa (1-r^2) - 2 mu) r phi' - z0 phi = f.
 
 Discretization: continuous piecewise-quadratic Lagrange elements on the graded
 grid r_j = cos(theta_j), theta uniform, assembled entirely in theta where every
@@ -34,15 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
-
-DIRICHLET_KINDS = ("h", "a", "b", "e")
-NEUMANN_KINDS = ("c", "k")
-ALL_KINDS = DIRICHLET_KINDS + NEUMANN_KINDS
 
 ELEMENT_DEGREE = 2
 GL_PER_ELEMENT = 8
@@ -58,7 +58,8 @@ class RadialSolution:
     """Profile values on the graded vertex grid, with projected derivatives.
 
     grid is ascending in r; values and derivative_values are nodal arrays on
-    it.  The parity of each kind is fixed (h, c, e, k odd; a, b even).
+    it.  The parity of each kind is fixed (h, c, e, k odd; a, b even).  A k
+    profile keeps the e profile its load was built from in e_profile.
     """
 
     kind: str
@@ -68,6 +69,7 @@ class RadialSolution:
     grid: np.ndarray
     values: np.ndarray
     derivative_values: np.ndarray
+    e_profile: RadialSolution | None = field(default=None, repr=False, compare=False)
     _value_spline: CubicSpline | None = field(default=None, repr=False)
     _deriv_spline: CubicSpline | None = field(default=None, repr=False)
 
@@ -82,7 +84,27 @@ class RadialSolution:
         return self._deriv_spline(r)
 
 
-_PARITY = {"h": "odd", "a": "even", "b": "even", "c": "odd", "e": "odd", "k": "odd"}
+class _Problem(NamedTuple):
+    parity: str
+    mu_shift: int  # stiffness exponent mu = (d + mu_shift) / 2
+    zero_order: Callable[[float, int, np.ndarray], np.ndarray] | None
+    load: Callable[[np.ndarray, RadialSolution | None], np.ndarray]  # f(r, e)
+
+
+def _z0_hab(kappa: float, d: int, r: np.ndarray) -> np.ndarray:
+    return kappa * r**2 + (d - 1)
+
+
+# e is solved before k, whose load it is
+_PROBLEMS = {
+    "h": _Problem("odd", 1, _z0_hab, lambda r, e: r),
+    "a": _Problem("even", 1, _z0_hab, lambda r, e: np.ones_like(r)),
+    "b": _Problem("even", 1, _z0_hab, lambda r, e: r**2),
+    "e": _Problem("odd", 3, lambda kappa, d, r: 2.0 * (kappa * r**2 + d), lambda r, e: r),
+    "c": _Problem("odd", -1, None, lambda r, e: r),
+    "k": _Problem("odd", -1, None, lambda r, e: -2.0 * e(r)),
+}
+ALL_KINDS = tuple(_PROBLEMS)
 
 
 def _lagrange_basis(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -95,33 +117,6 @@ def _lagrange_basis(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     for m in range(1, p + 1):
         der[:, m] = m * xg ** (m - 1)
     return xg, wg, val @ Vinv, der @ Vinv
-
-
-def _weights_for(kind: str, d: int) -> tuple[float, float | None, float]:
-    """(stiffness, mass, rhs) measure exponents mu in (1-r^2)^mu."""
-    if kind in ("h", "a", "b"):
-        return (d + 1) / 2, (d - 1) / 2, (d - 1) / 2
-    if kind == "e":
-        return (d + 3) / 2, (d + 1) / 2, (d + 1) / 2
-    return (d - 1) / 2, None, (d - 3) / 2
-
-
-def _zero_order(kind: str, kappa: float, d: int, rq: np.ndarray) -> np.ndarray | None:
-    if kind in ("h", "a", "b"):
-        return kappa * rq**2 + (d - 1)
-    if kind == "e":
-        return 2.0 * (kappa * rq**2 + d)
-    return None
-
-
-def _rhs(kind: str, rq: np.ndarray, e_sol: RadialSolution | None) -> np.ndarray:
-    if kind in ("h", "c", "e"):
-        return rq
-    if kind == "a":
-        return np.ones_like(rq)
-    if kind == "b":
-        return rq**2
-    return -2.0 * e_sol(rq)  # kind 'k'; solve_profile checked e_sol
 
 
 @lru_cache(maxsize=4)
@@ -179,26 +174,24 @@ def _solve_assembled(Aloc: np.ndarray, Floc: np.ndarray, origin_fixed: bool) -> 
 
 
 def _solve_half(
-    kind: str, kappa: float, d: int, n: int, e_sol: RadialSolution | None
+    kind: str, kappa: float, d: int, n: int, e: RadialSolution | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (theta nodes, nodal solution) on the n/2 elements of r in [0, 1]."""
     theta, inv_half, wq, rq, sq, N, dN = _element_quadrature(n // 2)
     E = np.exp(0.5 * kappa * rq**2)
+    prob = _PROBLEMS[kind]
+    mu = (d + prob.mu_shift) / 2
+    # chain rule u'(r) = -u_theta/sin(theta) and dr = sin(theta) dtheta turn
+    # the stiffness weight sin^{2 mu} and the zero-order and load weight
+    # sin^{2 mu - 2} into one power of sin
+    s = sq ** (2 * mu - 1)
 
-    p_stiff, p_mass, p_rhs = _weights_for(kind, d)
-    # chain rule u'(r) = -u_theta/sin(theta) and dr = sin(theta) dtheta put one
-    # factor 1/sin on the stiffness weight and one sin on mass and load
-    w_stiff = E * sq ** (2 * p_stiff - 1)
-    z0 = _zero_order(kind, kappa, d, rq)
-    f_load = _rhs(kind, rq, e_sol) * E * sq ** (2 * p_rhs + 1)
-
-    Aloc = np.einsum("eq,qi,qj->eij", wq * w_stiff, dN, dN) * (
-        inv_half[:, None, None] ** 2
-    )
-    if z0 is not None:
-        Aloc = Aloc + np.einsum("eq,qi,qj->eij", wq * E * sq ** (2 * p_mass + 1) * z0, N, N)
-    Floc = -np.einsum("eq,qi->ei", wq * f_load, N)
-    return theta, _solve_assembled(Aloc, Floc, origin_fixed=_PARITY[kind] == "odd")
+    Aloc = np.einsum("eq,qi,qj->eij", wq * (E * s), dN, dN) * inv_half[:, None, None] ** 2
+    if prob.zero_order is not None:
+        z0 = prob.zero_order(kappa, d, rq)
+        Aloc = Aloc + np.einsum("eq,qi,qj->eij", wq * E * s * z0, N, N)
+    Floc = -np.einsum("eq,qi->ei", wq * (prob.load(rq, e) * E * s), N)
+    return theta, _solve_assembled(Aloc, Floc, origin_fixed=prob.parity == "odd")
 
 
 def _projected_derivative(theta: np.ndarray, u: np.ndarray, parity: str) -> np.ndarray:
@@ -222,9 +215,11 @@ def _reflect(half_vertices: np.ndarray, parity: str) -> np.ndarray:
     return np.concatenate((sign * half_vertices[:0:-1], half_vertices))
 
 
-def _make_solution(kind: str, kappa: float, d: int, n: int, e_sol: RadialSolution | None) -> RadialSolution:
-    theta, u = _solve_half(kind, kappa, d, n, e_sol)
-    parity = _PARITY[kind]
+def _make_profile(
+    kind: str, kappa: float, d: int, n: int, e: RadialSolution | None
+) -> RadialSolution:
+    theta, u = _solve_half(kind, kappa, d, n, e)
+    parity = _PROBLEMS[kind].parity
     du = _projected_derivative(theta, u, parity)
     p = ELEMENT_DEGREE
     r = np.cos(theta[::p])
@@ -237,12 +232,11 @@ def _make_solution(kind: str, kappa: float, d: int, n: int, e_sol: RadialSolutio
         grid=_reflect(r, "odd"),
         values=_reflect(u[::p], parity),
         derivative_values=_reflect(du[::p], "even" if parity == "odd" else "odd"),
+        e_profile=e,
     )
 
 
-def _validate_problem(kind: str, kappa: float, d: int, n: int) -> None:
-    if kind not in ALL_KINDS:
-        raise ValueError(f"kind {kind!r} not one of {ALL_KINDS}")
+def _validate_problem(kappa: float, d: int, n: int) -> None:
     if kappa < 0:
         raise ValueError("kappa >= 0 required")
     if d < 2:
@@ -253,29 +247,24 @@ def _validate_problem(kind: str, kappa: float, d: int, n: int) -> None:
         raise ValueError("n must be even so that r = 0 is an element vertex")
 
 
-def solve_profile(
-    kind: str, kappa: float, d: int, n: int, e_sol: RadialSolution | None = None
-) -> RadialSolution:
+def solve_profile(kind: str, kappa: float, d: int, n: int) -> RadialSolution:
     """Solve one of the six profiles h, a, b, c, e, k on n elements.
 
-    kind 'k' consumes the matching e profile for its right-hand side; the
-    other kinds ignore e_sol.
+    Kind 'k' first solves the e profile its load is built from.
     """
-    _validate_problem(kind, kappa, d, n)
-    if kind != "k":
-        return _make_solution(kind, kappa, d, n, None)
-    if e_sol is None or e_sol.kind != "e":
-        raise ValueError("kind 'k' requires e_sol of kind 'e'")
-    if (e_sol.kappa, e_sol.d) != (float(kappa), int(d)):
-        raise ValueError("e_sol was solved at different (kappa, d)")
-    return _make_solution(kind, kappa, d, n, e_sol)
+    if kind not in _PROBLEMS:
+        raise ValueError(f"kind {kind!r} not one of {ALL_KINDS}")
+    _validate_problem(kappa, d, n)
+    e = _make_profile("e", kappa, d, n, None) if kind == "k" else None
+    return _make_profile(kind, kappa, d, n, e)
 
 
 def solve_bundle(kappa: float, d: int, n: int) -> dict[str, RadialSolution]:
-    """All six profiles at shared (kappa, d, n); e is solved before k."""
+    """All six profiles at shared (kappa, d, n); k is built on the bundle's e."""
+    _validate_problem(kappa, d, n)
     out: dict[str, RadialSolution] = {}
     for kind in ALL_KINDS:
-        out[kind] = solve_profile(kind, kappa, d, n, e_sol=out.get("e"))
+        out[kind] = _make_profile(kind, kappa, d, n, out["e"] if kind == "k" else None)
     return out
 
 
@@ -298,9 +287,7 @@ def _vertex_fit_derivatives(r: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, .
     return r[idx], v, v_r, v_rr
 
 
-def strong_defect(
-    sol: RadialSolution, e_sol: RadialSolution | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def strong_defect(sol: RadialSolution) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise strong-form defect L(phi) - f over interior vertices.
 
     Returns (r, defect) restricted to |r| <= INTERIOR_MASK, where vertex
@@ -311,23 +298,13 @@ def strong_defect(
     mask = np.abs(rr) <= INTERIOR_MASK
     rr, v, v1, v2 = rr[mask], v[mask], v1[mask], v2[mask]
     s2 = 1.0 - rr**2
-    if sol.kind in ("h", "a", "b"):
-        L = s2 * v2 + (kappa * s2 - (d + 1)) * rr * v1 - (kappa * rr**2 + (d - 1)) * v
-        f = {"h": rr, "a": np.ones_like(rr), "b": rr**2}[sol.kind]
-    elif sol.kind == "e":
-        L = s2 * v2 + (kappa * s2 - (d + 3)) * rr * v1 - 2.0 * (kappa * rr**2 + d) * v
-        f = rr
-    else:
-        L = s2 * v2 + (kappa * s2 - (d - 1)) * rr * v1
-        if sol.kind == "c":
-            f = rr
-        else:
-            if e_sol is None:
-                raise ValueError("residual of kind 'k' requires e_sol")
-            f = -2.0 * e_sol(rr)
-    return rr, L - f
+    prob = _PROBLEMS[sol.kind]
+    L = s2 * v2 + (kappa * s2 - (d + prob.mu_shift)) * rr * v1  # d + mu_shift = 2 mu
+    if prob.zero_order is not None:
+        L = L - prob.zero_order(kappa, d, rr) * v
+    return rr, L - prob.load(rr, sol.e_profile)
 
 
-def strong_residual(sol: RadialSolution, e_sol: RadialSolution | None = None) -> float:
+def strong_residual(sol: RadialSolution) -> float:
     """Sup-norm defect of the strong ODE over interior vertices |r| <= INTERIOR_MASK."""
-    return float(np.max(np.abs(strong_defect(sol, e_sol)[1])))
+    return float(np.max(np.abs(strong_defect(sol)[1])))

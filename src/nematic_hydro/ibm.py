@@ -29,7 +29,7 @@ state uses the reserved stream index 2**64 - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -139,7 +139,7 @@ class Observation:
 
     u_hat rows are NaN for grid cells that were empty or had a degenerate
     Q-tensor; rho_hat and u_hat are None unless coarse fields were asked
-    for.
+    for, and then only the final observation carries them.
     """
 
     time: float
@@ -427,21 +427,9 @@ def initial_state(config: IbmConfig) -> ParticleState:
     return ParticleState(positions, orientations, 0.0)
 
 
-def _observe(
-    state: ParticleState,
-    config: IbmConfig,
-    coarse_grid_n: Optional[int],
-    coarse_bandwidth: float,
-) -> Observation:
+def _observe(state: ParticleState) -> Observation:
     Q = qtensor_from_orientations(state.orientations)
-    order = float(np.linalg.eigvalsh(Q)[-1])
-    rho_hat = None
-    u_hat = None
-    if coarse_grid_n is not None:
-        rho_hat, u_hat = coarse_grain(
-            state, coarse_grid_n, coarse_bandwidth, config.box_length
-        )
-    return Observation(state.time, Q, order, rho_hat, u_hat)
+    return Observation(state.time, Q, float(np.linalg.eigvalsh(Q)[-1]))
 
 
 def run(
@@ -455,8 +443,9 @@ def run(
 
     Records step 0, every observe_every-th step, and the final step.  Each
     observation carries the global Q-tensor and its leading eigenvalue as
-    the scalar order parameter, plus coarse-grained fields when a grid was
-    requested.  Same config, same observations, bit for bit.
+    the scalar order parameter; the final one also carries coarse-grained
+    fields when a grid was requested.  Same config, same observations, bit
+    for bit.
     """
     if not (T > 0.0):
         raise ValueError("T > 0 required")
@@ -464,11 +453,14 @@ def run(
         raise ValueError("observe_every must be a positive integer")
     n_steps = step_count(T, config.dt)
     state = initial_state(config)
-    observations = [_observe(state, config, coarse_grid_n, coarse_bandwidth)]
+    observations = [_observe(state)]
     for t in range(n_steps):
         state = step(state, config, _stream(config.seed, t))
         if (t + 1) % observe_every == 0 or t + 1 == n_steps:
-            observations.append(_observe(state, config, coarse_grid_n, coarse_bandwidth))
+            observations.append(_observe(state))
+    if coarse_grid_n is not None:
+        rho_hat, u_hat = coarse_grain(state, coarse_grid_n, coarse_bandwidth, config.box_length)
+        observations[-1] = replace(observations[-1], rho_hat=rho_hat, u_hat=u_hat)
     return observations
 
 

@@ -101,9 +101,24 @@ class AngularDensity:
             raise ValueError(f"mass {1.0 + drift:.3e} deviates from 1 beyond {MASS_TOL}")
 
 
-def _centre_weights(f: AngularDensity, kappa: float) -> np.ndarray:
-    """E = exp(kappa cos^2(theta) / 2) at the cell centres of f's grid."""
-    return np.exp(0.5 * kappa * np.cos(f.theta_centers) ** 2)
+@lru_cache(maxsize=8)
+def _grid_weights(n: int, d: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E at the n cell centres, E sin^{d-2} / W_{d-2} at the n-1 interior faces).
+
+    E = exp(kappa cos^2(theta) / 2).  Cached per argument tuple and shared by
+    every caller, hence read-only.
+    """
+    centres = (np.arange(n) + 0.5) * (np.pi / n)
+    faces = np.linspace(0.0, np.pi, n + 1)[1:-1]
+    E = np.exp(0.5 * kappa * np.cos(centres) ** 2)
+    w = (
+        np.exp(0.5 * kappa * np.cos(faces) ** 2)
+        * np.sin(faces) ** (d - 2)
+        / angle_weight_norm(d - 2)
+    )
+    for a in (E, w):
+        a.setflags(write=False)
+    return E, w
 
 
 def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
@@ -112,9 +127,8 @@ def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
     Cell values are proportional to E at cell centers, which is exactly
     stationary under the discrete operator.
     """
-    f = AngularDensity(d=d, values=np.ones(n))
-    E = _centre_weights(f, kappa)
-    return AngularDensity(d=d, values=E / (E @ f.measures))
+    E, _ = _grid_weights(n, d, kappa)
+    return AngularDensity(d=d, values=E / (E @ cell_measures(n, d)))
 
 
 def bump_density(n: int, d: int, center: float = 0.3, width: float = 0.2) -> AngularDensity:
@@ -122,16 +136,6 @@ def bump_density(n: int, d: int, center: float = 0.3, width: float = 0.2) -> Ang
     f = AngularDensity(d=d, values=np.ones(n))
     v = np.exp(-0.5 * ((f.theta_centers - center) / width) ** 2)
     return AngularDensity(d=d, values=v / (v @ f.measures))
-
-
-def _face_weights(n: int, d: int, kappa: float) -> np.ndarray:
-    """E * sin^{d-2} / W_{d-2} at the n-1 interior faces."""
-    faces = np.linspace(0.0, np.pi, n + 1)[1:-1]
-    return (
-        np.exp(0.5 * kappa * np.cos(faces) ** 2)
-        * np.sin(faces) ** (d - 2)
-        / angle_weight_norm(d - 2)
-    )
 
 
 def _axis_alignment_gap(f: AngularDensity) -> float:
@@ -167,8 +171,8 @@ def gamma_apply(f: AngularDensity, kappa: float, D: float) -> np.ndarray:
     """
     n = f.n
     dtheta = np.pi / n
-    g = f.values / _centre_weights(f, kappa)
-    flux = D * _face_weights(n, f.d, kappa) * np.diff(g) / dtheta
+    E, w = _grid_weights(n, f.d, kappa)
+    flux = D * w * np.diff(f.values / E) / dtheta
     rate_mass = np.zeros(n)
     rate_mass[:-1] += flux
     rate_mass[1:] -= flux
@@ -185,18 +189,17 @@ def _backward_euler_factor(
     face-flux stiffness.  Cached per argument tuple and shared by every
     caller, hence read-only.
     """
-    unit = AngularDensity(d=d, values=np.ones(n))
-    E = _centre_weights(unit, kappa)
-    w = dt * D * _face_weights(n, d, kappa) / (np.pi / n)
+    E, face = _grid_weights(n, d, kappa)
+    mu = cell_measures(n, d)
+    w = dt * D * face / (np.pi / n)
     ab = np.zeros((2, n))
-    ab[1, :] = unit.measures * E
+    ab[1, :] = mu * E
     ab[1, :-1] += w
     ab[1, 1:] += w
     ab[0, 1:] = -w
     chol = cholesky_banded(ab)
-    for a in (chol, E):
-        a.setflags(write=False)
-    return chol, unit.measures, E
+    chol.setflags(write=False)
+    return chol, mu, E
 
 
 def evolve(
@@ -208,10 +211,10 @@ def evolve(
     u_policy: str = "fixed",
 ) -> AngularDensity:
     """Backward-Euler integration of df/dt = Gamma(f) up to time T."""
-    if dt <= 0 or T < 0 or D <= 0:
-        raise ValueError("need dt > 0, T >= 0, D > 0")
+    if dt <= 0 or D <= 0:
+        raise ValueError("need dt > 0, D > 0")
     f0.validate()
-    steps = int(round(T / dt))
+    steps = step_count(T, dt)
     chol, mu, E = _backward_euler_factor(f0.n, f0.d, kappa, D, dt)
     state = AngularDensity(d=f0.d, values=f0.values.copy())
     for _ in range(steps):
@@ -223,33 +226,23 @@ def evolve(
     return state
 
 
-def entropy_dissipation(
-    f: AngularDensity, kappa: float, D: float, form: str = "rhs"
-) -> float:
-    """Discrete dissipation functional, nonpositive.
+def entropy_dissipation(f: AngularDensity, kappa: float, D: float) -> float:
+    """Discrete dissipation functional, nonpositive: the quadratic face sum.
 
-    form="rhs" evaluates the manifestly nonpositive quadratic face sum;
-    form="lhs" pairs the discrete collision output with f/M.  The two agree
-    to rounding because the flux form is its own summation-by-parts dual.
+    It equals the pairing of the discrete collision output with f/M to
+    rounding, because the flux form is its own summation-by-parts dual.
     """
     n = f.n
     dtheta = np.pi / n
     Z = make_equilibrium(kappa, f.d).Z
-    E = _centre_weights(f, kappa)
-    if form == "rhs":
-        g = f.values / E
-        w = _face_weights(n, f.d, kappa)
-        return -D * Z * float(w @ (np.diff(g) ** 2)) / dtheta
-    if form == "lhs":
-        rate = gamma_apply(f, kappa, D)
-        return float((rate * Z * f.values / E) @ f.measures)
-    raise ValueError(f"unknown form {form!r}")
+    E, w = _grid_weights(n, f.d, kappa)
+    return -D * Z * float(w @ (np.diff(f.values / E) ** 2)) / dtheta
 
 
 def quadratic_entropy(f: AngularDensity, kappa: float) -> float:
     """Discrete integral of f^2 / M_u; its decay rate is the dissipation."""
     Z = make_equilibrium(kappa, f.d).Z
-    E = _centre_weights(f, kappa)
+    E, _ = _grid_weights(f.n, f.d, kappa)
     return Z * float((f.values**2 / E) @ f.measures)
 
 

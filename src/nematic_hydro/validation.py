@@ -75,16 +75,14 @@ class ScalingReport:
     slope: float
 
 
-def _ball_quadrature(
-    d: int, n_radial: int, n_surface: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ball_quadrature(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights, and unit directions for integrals over the unit ball."""
-    s, ws = np.polynomial.legendre.leggauss(n_radial)
+    s, ws = np.polynomial.legendre.leggauss(_SCALING_N_RADIAL)
     s = 0.5 * (s + 1.0)
     ws = 0.5 * ws
     axis = np.zeros(d)
     axis[-1] = 1.0
-    sphere = build_quadrature(d, axis, n_surface)
+    sphere = build_quadrature(d, axis, _SCALING_N_SURFACE)
     surface_area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
     # weights integrate g over {|xi| <= 1}: radial measure s^{d-1} times the
     # surface measure, the latter recovered from the unit-mass sphere rule
@@ -96,6 +94,10 @@ def _ball_quadrature(
 
 _SCALING_PROBES = np.array([[0.31, 0.57, 0.44], [0.72, 0.22, 0.81], [0.11, 0.86, 0.29]])
 """Spatial points of the expansion study; the first d columns are used."""
+# resolutions of the study: radial and surface nodes of the ball, sphere nodes
+_SCALING_N_RADIAL = 24
+_SCALING_N_SURFACE = 48
+_SCALING_N_SPHERE = 64
 
 
 def eps_expansion_study(
@@ -104,9 +106,6 @@ def eps_expansion_study(
     *,
     d: int = 2,
     asymmetry: float = 0.0,
-    n_radial: int = 24,
-    n_surface: int = 48,
-    n_sphere: int = 64,
 ) -> ScalingReport:
     """Error of the kernel-averaged Q-tensor against the local one vs eps.
 
@@ -116,8 +115,7 @@ def eps_expansion_study(
     the average of a constant is exact.  asymmetry adds an odd component to
     the kernel, which breaks the symmetry that cancels the linear term and
     degrades the rate to first order; it exists as a negative control of the
-    study itself.  n_radial and n_surface resolve the ball, n_sphere the
-    orientation sphere.
+    study itself.
 
     Returns the worst Frobenius error over the probe points per eps and the
     fitted log-log slope.
@@ -129,14 +127,14 @@ def eps_expansion_study(
 
     axis = np.zeros(d)
     axis[-1] = 1.0
-    quad = build_quadrature(d, axis, n_sphere)
+    quad = build_quadrature(d, axis, _SCALING_N_SPHERE)
     outer = np.einsum("mi,mj->mij", quad.nodes, quad.nodes) - np.eye(d) / d
 
     def q_of(x: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(x, quad.nodes), dtype=float)
         return np.einsum("m,m,mij->ij", quad.weights, vals, outer)
 
-    xi, w_ball, dirs = _ball_quadrature(d, n_radial, n_surface)
+    xi, w_ball, dirs = _ball_quadrature(d)
     weights = w_ball * (1.0 + asymmetry * dirs[:, 0])
     weights = weights / weights.sum()
 
@@ -326,9 +324,7 @@ def corrector_channel_residuals(
 
     out = {}
     for kind, name in CORRECTOR_CHANNELS.items():
-        rr, defect = strong_defect(
-            bundle[kind], e_sol=bundle["e"] if kind == "k" else None
-        )
+        rr, defect = strong_defect(bundle[kind])
         defect_at = CubicSpline(rr, defect)(np.clip(r, rr.min(), rr.max()))
         pointwise = inputs.rho * m_weight * defect_at * envelopes[kind]
         out[name] = float(np.max(np.abs(pointwise)))

@@ -99,7 +99,7 @@ def test_01_radial_profiles_solve_accurately_and_fast(grid_bundles, criterion_re
         worst = 0.0
         for bundle in bundles.values():
             for kind in KINDS:
-                r = strong_residual(bundle[kind], bundle["e"] if kind == "k" else None)
+                r = strong_residual(bundle[kind])
                 worst = max(worst, r)
         log.check(worst < 1e-6, f"worst strong residual {worst:.2e} >= 1e-6")
 

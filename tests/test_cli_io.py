@@ -373,6 +373,18 @@ class TestMain:
             assert header[2:] == list(CORRECTOR_CHANNELS.values())
             assert set(report["channels"]) == set(CORRECTOR_CHANNELS.values())
 
+    def test_validate_corrector_in_the_plane(self, tmp_path):
+        # at d = 2 the suite's own state must keep (grad u) u = 0
+        cfg = write_cfg(tmp_path, "[validate]\nd = 2\nn = 1024\n")
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--suite", "corrector", "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "corrector_report.json").read_text())
+        assert report["residual"] < 1e-6
+        assert set(report["channels"]) == set(CORRECTOR_CHANNELS.values())
+
     def test_validate_requires_suite(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["validate"])

@@ -283,6 +283,8 @@ def test_observation_carries_coarse_fields():
     obs = run(cfg, T=0.05, observe_every=5, coarse_grid_n=8, coarse_bandwidth=0.1)
     assert obs[-1].rho_hat is not None and obs[-1].rho_hat.shape == (8, 8)
     assert obs[-1].u_hat is not None and obs[-1].u_hat.shape == (8, 8, 2)
+    # only the final observation is coarse-grained
+    assert all(ob.rho_hat is None and ob.u_hat is None for ob in obs[:-1])
     plain = run(cfg, T=0.05, observe_every=5)
     assert plain[-1].rho_hat is None and plain[-1].u_hat is None
     assert plain[-1].order_parameter == obs[-1].order_parameter

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from nematic_hydro import kinetic
+from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.kinetic import (
     AngularDensity,
     bump_density,
@@ -48,7 +49,7 @@ def test_angular_density_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_cells_rejected(bad):
     # a NaN cell fails no comparison, so only an explicit finiteness check
-    # keeps it out of the march; T = 0 takes no step that could trip on it
+    # keeps it out of the march; it runs before the horizon (T = 0) is checked
     f = bump_density(64, 3)
     f.values[10] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -93,13 +94,14 @@ def test_entropy_non_increasing_and_l1_decay():
 
 
 def test_dissipation_forms_agree():
+    """The face sum equals the pairing of the collision output with f/M."""
     f = bump_density(120, 3)
-    lhs = entropy_dissipation(f, 4.0, 1.0, form="lhs")
-    rhs = entropy_dissipation(f, 4.0, 1.0, form="rhs")
+    Z = make_equilibrium(4.0, 3).Z
+    E = np.exp(0.5 * 4.0 * np.cos(f.theta_centers) ** 2)
+    lhs = float((gamma_apply(f, 4.0, 1.0) * Z * f.values / E) @ f.measures)
+    rhs = entropy_dissipation(f, 4.0, 1.0)
     assert rhs < 0
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-    with pytest.raises(ValueError):
-        entropy_dissipation(f, 4.0, 1.0, form="weird")
 
 
 def test_dissipation_bounds_entropy_decay():
@@ -134,6 +136,9 @@ def test_evolve_argument_validation():
         evolve(f, 4.0, 1.0, dt=0.1, T=1.0, u_policy="frozen")
     with pytest.raises(ValueError):
         relaxation_series(f, 4.0, 1.0, dt=0.1, T=1.0, n_samples=0)
+    # the horizon rounds to whole steps and must reach at least one
+    with pytest.raises(ValueError, match="shorter than one step"):
+        evolve(f, 4.0, 1.0, dt=1e-3, T=4e-4)
 
 
 def test_timescale_set_by_noise():

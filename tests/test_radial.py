@@ -5,15 +5,14 @@ import pytest
 
 from nematic_hydro.gci import radial
 from nematic_hydro.gci.radial import (
-    DIRICHLET_KINDS,
-    NEUMANN_KINDS,
+    ALL_KINDS,
     solve_bundle,
     solve_profile,
     strong_defect,
     strong_residual,
 )
 
-ALL_KINDS = DIRICHLET_KINDS + NEUMANN_KINDS
+ZERO_MEAN_KINDS = ("c", "k")
 
 
 def small_kappa_closed_form(kind, d, r):
@@ -63,10 +62,7 @@ def test_probe_values_frozen_against_collocation(bundle_k2d3):
 
 def test_strong_residual_below_tolerance(bundle_k4d2):
     for kind in ALL_KINDS:
-        res = strong_residual(
-            bundle_k4d2[kind],
-            e_sol=bundle_k4d2["e"] if kind == "k" else None,
-        )
+        res = strong_residual(bundle_k4d2[kind])
         assert res < 1e-6, f"{kind}: {res:.2e}"
 
 
@@ -109,14 +105,15 @@ def test_zero_mean_of_zero_mean_kinds(bundle_k2d3):
     d = 3
     rj, wj = roots_jacobi(128, (d - 3) / 2, (d - 3) / 2)
     weight = wj * np.exp(0.5 * 2.0 * rj**2)
-    for kind in NEUMANN_KINDS:
+    for kind in ZERO_MEAN_KINDS:
         mean = float(weight @ bundle_k2d3[kind](rj)) / float(weight.sum())
         assert abs(mean) < 1e-10, f"{kind}: {mean:.2e}"
 
 
 def test_defect_requires_coupled_profile(bundle_k2d3):
-    with pytest.raises(ValueError):
-        strong_residual(bundle_k2d3["k"])  # needs the e profile it couples to
+    """The k profile carries the e profile its load was built from."""
+    assert bundle_k2d3["k"].e_profile is bundle_k2d3["e"]
+    assert strong_residual(bundle_k2d3["k"]) < 1e-6
 
 
 def test_derivative_consistent_with_values(bundle_k2d3):
@@ -137,22 +134,16 @@ def test_solution_metadata(bundle_k2d3):
 def test_individual_solvers_match_bundle(bundle_k2d3):
     h = solve_profile("h", 2.0, 3, 1024)
     c = solve_profile("c", 2.0, 3, 1024)
-    k = solve_profile("k", 2.0, 3, 1024, e_sol=bundle_k2d3["e"])
+    k = solve_profile("k", 2.0, 3, 1024)
     r = np.linspace(-0.9, 0.9, 11)
     assert np.abs(h(r) - bundle_k2d3["h"](r)).max() == 0.0
     assert np.abs(c(r) - bundle_k2d3["c"](r)).max() == 0.0
     assert np.abs(k(r) - bundle_k2d3["k"](r)).max() == 0.0
 
 
-def test_profile_kind_and_coupling_validated(bundle_k2d3):
+def test_profile_kind_and_coupling_validated():
     with pytest.raises(ValueError, match="not one of"):
         solve_profile("z", 2.0, 3, 1024)
-    with pytest.raises(ValueError, match="e_sol"):
-        solve_profile("k", 2.0, 3, 1024)
-    with pytest.raises(ValueError, match="e_sol"):
-        solve_profile("k", 2.0, 3, 1024, e_sol=bundle_k2d3["a"])
-    with pytest.raises(ValueError, match="different"):
-        solve_profile("k", 3.0, 3, 1024, e_sol=bundle_k2d3["e"])
 
 
 def test_defect_is_pointwise_and_interior(bundle_k2d3):
@@ -176,8 +167,8 @@ def test_zero_mean_kinds_carry_no_defect_at_origin(n):
     refinement (a gauge fixed at r = 0 left a kink there that grew with n),
     and every profile has the parity of its kind exactly."""
     bundle = solve_bundle(8.0, 2, n)
-    for kind in NEUMANN_KINDS:
-        res = strong_residual(bundle[kind], e_sol=bundle["e"] if kind == "k" else None)
+    for kind in ZERO_MEAN_KINDS:
+        res = strong_residual(bundle[kind])
         assert res < 1e-6, f"{kind}: {res:.2e}"
     for kind in ("h", "c", "e", "k"):
         values = bundle[kind].values

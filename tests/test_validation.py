@@ -26,9 +26,7 @@ class TestEpsExpansionStudy:
         def f(x, nodes):
             return np.exp((nodes @ axis) ** 2)
 
-        rep = eps_expansion_study(
-            f, [0.2, 0.1], d=2, n_radial=8, n_surface=16, n_sphere=32
-        )
+        rep = eps_expansion_study(f, [0.2, 0.1], d=2)
         assert rep.errors.max() < 1e-14
         assert np.isnan(rep.slope)
 
