@@ -145,7 +145,7 @@ def read_field_snapshot(path: Path) -> MacroField:
 
 
 def coefficient_table_rows(
-    kappas: Sequence[float], ds: Sequence[int], n: int = 1024
+    kappas: Sequence[float], ds: Sequence[int], n: int
 ) -> tuple[list[str], list[list]]:
     """Header and rows of the two-form coefficient table.
 
@@ -183,7 +183,7 @@ def emit_coefficient_table(
     ds: Sequence[int],
     path: Path,
     cfg_hash: str,
-    n: int = 1024,
+    n: int,
 ) -> None:
     header, rows = coefficient_table_rows(kappas, ds, n)
     write_csv(path, header, rows)

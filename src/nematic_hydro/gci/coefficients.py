@@ -11,8 +11,10 @@ Both routes consume the six radial profiles at shared (kappa, d):
 * compute_coefficients_derivation: building-block integrals of the profiles
   against the aligned equilibrium on Gauss-Jacobi nodes in r, assembled into
   ratios over the normalizer C0.  Independent of the first route in both
-  formula shape and quadrature family, which makes their agreement a strong
-  end-to-end check.
+  formula shape and quadrature family, so their agreement checks the
+  formulas and the quadrature.  Both routes read the same profiles and
+  derivatives (the splines of gci.radial), so their agreement cannot see
+  an error in those; a refinement of the profile resolution does.
 
 Sign convention: the profiles are nonpositive where these formulas sample
 them, so every raw average comes out nonpositive (flux form).  The exported

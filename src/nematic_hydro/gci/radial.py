@@ -29,6 +29,10 @@ parity is exact.  This is also the gauge of the pair c, k: of the solutions
 phi + const, the odd one is the one with zero mean, and oddness makes the mean
 vanish in every even weight, not only in dr.
 
+Evaluation: one cubic spline through the vertex values gives a profile both
+at any r and, through a cubic spline of its slopes at the vertices, its
+derivative; the coefficient routes read both.
+
 Strong-form residuals are measured at element vertices only: vertex values
 superconverge, while interior nodes carry an intra-element error component
 that would dominate any second-derivative reconstruction.
@@ -53,13 +57,17 @@ _FIT_DEGREE = 6
 INTERIOR_MASK = 0.95
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialSolution:
-    """Profile values on the graded vertex grid, with projected derivatives.
+    """Profile values on the graded vertex grid, read through one spline.
 
-    grid is ascending in r; values and derivative_values are nodal arrays on
-    it.  The parity of each kind is fixed (h, c, e, k odd; a, b even).  A k
-    profile keeps the e profile its load was built from in e_profile.
+    grid is ascending in r and values is the nodal array on it.  Calling the
+    solution reads the cubic spline of the values; derivative() reads the
+    cubic spline of that spline's slopes at the vertices, which is C^2 like
+    the values (the spline's own derivative is only C^1).  The parity of
+    each kind is fixed (h, c, e, k odd; a, b even).  A k profile keeps the e
+    profile its load was built from in e_profile.  Solutions compare by
+    identity.
     """
 
     kind: str
@@ -68,20 +76,19 @@ class RadialSolution:
     n: int
     grid: np.ndarray
     values: np.ndarray
-    derivative_values: np.ndarray
-    e_profile: RadialSolution | None = field(default=None, repr=False, compare=False)
-    _value_spline: CubicSpline | None = field(default=None, repr=False)
-    _deriv_spline: CubicSpline | None = field(default=None, repr=False)
+    e_profile: RadialSolution | None = field(default=None, repr=False)
+    _spline: CubicSpline = field(init=False, repr=False)
+    _slope_spline: CubicSpline = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._spline = CubicSpline(self.grid, self.values)
+        self._slope_spline = CubicSpline(self.grid, self._spline(self.grid, 1))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        if self._value_spline is None:
-            self._value_spline = CubicSpline(self.grid, self.values)
-        return self._value_spline(r)
+        return self._spline(r)
 
     def derivative(self, r: np.ndarray) -> np.ndarray:
-        if self._deriv_spline is None:
-            self._deriv_spline = CubicSpline(self.grid, self.derivative_values)
-        return self._deriv_spline(r)
+        return self._slope_spline(r)
 
 
 class _Problem(NamedTuple):
@@ -141,15 +148,6 @@ def _element_quadrature(n_el: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-@lru_cache(maxsize=4)
-def _derivative_mass(n_el: int) -> np.ndarray:
-    """Element matrices int N_i N_j dr of the projected derivative, read-only."""
-    _, _, wq, _, sq, N, _ = _element_quadrature(n_el)
-    Mloc = np.einsum("eq,qi,qj->eij", wq * sq, N, N)
-    Mloc.setflags(write=False)
-    return Mloc
-
-
 def _solve_assembled(Aloc: np.ndarray, Floc: np.ndarray, origin_fixed: bool) -> np.ndarray:
     """Assemble element matrices and loads, then solve the SPD banded system.
 
@@ -194,21 +192,6 @@ def _solve_half(
     return theta, _solve_assembled(Aloc, Floc, origin_fixed=prob.parity == "odd")
 
 
-def _projected_derivative(theta: np.ndarray, u: np.ndarray, parity: str) -> np.ndarray:
-    """L2(dr) projection of the elementwise derivative onto the nodal space.
-
-    theta and u live on the half interval r in [0, 1]; parity is that of the
-    profile u, so its derivative vanishes at r = 0 exactly when u is even.
-    """
-    p = ELEMENT_DEGREE
-    n_el = (len(theta) - 1) // p
-    _, inv_half, wq, _, _, N, dN = _element_quadrature(n_el)
-    conn = np.arange(n_el)[:, None] * p + np.arange(p + 1)[None, :]
-    u_theta = np.einsum("ej,qj->eq", u[conn], dN) * inv_half[:, None]
-    Gloc = -np.einsum("eq,qi->ei", wq * u_theta, N)  # int u'(r) N_i dr
-    return _solve_assembled(_derivative_mass(n_el), Gloc, origin_fixed=parity == "even")
-
-
 def _reflect(half_vertices: np.ndarray, parity: str) -> np.ndarray:
     """Extend vertex values on r in [0, 1] to the full ascending grid."""
     sign = -1.0 if parity == "odd" else 1.0
@@ -219,8 +202,6 @@ def _make_profile(
     kind: str, kappa: float, d: int, n: int, e: RadialSolution | None
 ) -> RadialSolution:
     theta, u = _solve_half(kind, kappa, d, n, e)
-    parity = _PROBLEMS[kind].parity
-    du = _projected_derivative(theta, u, parity)
     p = ELEMENT_DEGREE
     r = np.cos(theta[::p])
     r[0] = 0.0  # cos(pi/2) rounds to 6e-17; the reflected grid needs r = 0
@@ -230,8 +211,7 @@ def _make_profile(
         d=int(d),
         n=int(n),
         grid=_reflect(r, "odd"),
-        values=_reflect(u[::p], parity),
-        derivative_values=_reflect(du[::p], "even" if parity == "odd" else "odd"),
+        values=_reflect(u[::p], _PROBLEMS[kind].parity),
         e_profile=e,
     )
 

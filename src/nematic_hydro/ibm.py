@@ -451,6 +451,8 @@ def run(
         raise ValueError("T > 0 required")
     if int(observe_every) != observe_every or observe_every < 1:
         raise ValueError("observe_every must be a positive integer")
+    if coarse_grid_n is not None:
+        _check_coarse_grid(coarse_grid_n, coarse_bandwidth)
     n_steps = step_count(T, config.dt)
     state = initial_state(config)
     observations = [_observe(state)]
@@ -462,6 +464,13 @@ def run(
         rho_hat, u_hat = coarse_grain(state, coarse_grid_n, coarse_bandwidth, config.box_length)
         observations[-1] = replace(observations[-1], rho_hat=rho_hat, u_hat=u_hat)
     return observations
+
+
+def _check_coarse_grid(grid_n: int, bandwidth: float) -> None:
+    if int(grid_n) != grid_n or grid_n < 1:
+        raise ValueError("grid_n must be a positive integer")
+    if bandwidth < 0.0:
+        raise ValueError("bandwidth >= 0 required")
 
 
 def coarse_grain(
@@ -479,10 +488,7 @@ def coarse_grain(
     averaged outer products, never from averaging orientation vectors,
     which would cancel for nematic states.
     """
-    if int(grid_n) != grid_n or grid_n < 1:
-        raise ValueError("grid_n must be a positive integer")
-    if bandwidth < 0.0:
-        raise ValueError("bandwidth >= 0 required")
+    _check_coarse_grid(grid_n, bandwidth)
     n, d = state.positions.shape
     cell_size = box_length / grid_n
     coords = np.minimum((state.positions / cell_size).astype(np.int64), grid_n - 1)

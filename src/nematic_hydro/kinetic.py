@@ -61,6 +61,11 @@ def cell_measures(n: int, d: int) -> np.ndarray:
     return _cell_integrals(n, d, 0)
 
 
+def _cell_centers(n: int) -> np.ndarray:
+    """Centres of the n uniform cells of theta in [0, pi]."""
+    return (np.arange(n) + 0.5) * (np.pi / n)
+
+
 @dataclass
 class AngularDensity:
     """Cell-averaged axisymmetric orientation density."""
@@ -81,8 +86,7 @@ class AngularDensity:
 
     @property
     def theta_centers(self) -> np.ndarray:
-        dtheta = np.pi / self.n
-        return (np.arange(self.n) + 0.5) * dtheta
+        return _cell_centers(self.n)
 
     @property
     def measures(self) -> np.ndarray:
@@ -108,7 +112,7 @@ def _grid_weights(n: int, d: int, kappa: float) -> tuple[np.ndarray, np.ndarray]
     E = exp(kappa cos^2(theta) / 2).  Cached per argument tuple and shared by
     every caller, hence read-only.
     """
-    centres = (np.arange(n) + 0.5) * (np.pi / n)
+    centres = _cell_centers(n)
     faces = np.linspace(0.0, np.pi, n + 1)[1:-1]
     E = np.exp(0.5 * kappa * np.cos(centres) ** 2)
     w = (
@@ -133,9 +137,8 @@ def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
 
 def bump_density(n: int, d: int, center: float = 0.3, width: float = 0.2) -> AngularDensity:
     """Smooth normalized bump used as a far-from-equilibrium start."""
-    f = AngularDensity(d=d, values=np.ones(n))
-    v = np.exp(-0.5 * ((f.theta_centers - center) / width) ** 2)
-    return AngularDensity(d=d, values=v / (v @ f.measures))
+    v = np.exp(-0.5 * ((_cell_centers(n) - center) / width) ** 2)
+    return AngularDensity(d=d, values=v / (v @ cell_measures(n, d)))
 
 
 def _axis_alignment_gap(f: AngularDensity) -> float:

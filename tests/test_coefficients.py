@@ -11,24 +11,26 @@ from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.gci.radial import solve_bundle
 from nematic_hydro.sphere import build_quadrature
 
-# regression anchors, cross-validated at generation time by the agreement of
-# two independent quadrature routes to 2e-14 and by the six internal
-# identities at 1e-15 level
+# regression anchors at n = 1024.  Route agreement cannot see derivative
+# error, because both routes read the same profiles and derivatives; the
+# entries built from derivatives (G1-G4, H2-H4) were checked against the
+# Richardson limit of n = 4096 and 8192 solves, within 2e-9, and the rest
+# against the two routes (2e-14) and the six internal identities (1e-15)
 FROZEN_K2D3 = {
     "C1": 3.279273667833e-01, "C2": 1.148806070509e-01, "C3": 5.562343298294e-02,
     "C4": 1.133120138697e-01, "E1": 5.883551269335e-01, "F1": 1.125741799030e-01,
-    "F2": 1.082571529589e-02, "F3": 1.446422168865e-01, "G1": 6.169384362548e-01,
-    "G2": -3.336097702014e-01, "G3": 5.381604989329e-02, "G4": 1.768068361880e-01,
-    "H1": 5.883551269335e-01, "H2": -7.596373804057e-02, "H3": 2.578472656658e-02,
-    "H4": 2.777074212490e-01, "C0": -2.442003004480e-02,
+    "F2": 1.082571529589e-02, "F3": 1.446422168865e-01, "G1": 6.169384608019e-01,
+    "G2": -3.336097376487e-01, "G3": 5.381608244595e-02, "G4": 1.768068687416e-01,
+    "H1": 5.883551269335e-01, "H2": -7.596380481922e-02, "H3": 2.578465978790e-02,
+    "H4": 2.777073753851e-01, "C0": -2.442003004480e-02,
 }
 FROZEN_K4D2 = {
     "C1": 2.220386613794e+00, "C2": 1.122536507761e-01, "C3": 1.645513662755e-01,
     "C4": 1.497191630861e+00, "E1": 9.411791305595e-01, "F1": 1.568271760971e-01,
-    "F2": 1.317721076922e-02, "F3": 5.848290958930e-01, "G1": 2.469536366871e+00,
-    "G2": -1.310847038452e-01, "G3": 5.526094396035e-02, "G4": 6.137356183150e-01,
-    "H1": 9.411791305595e-01, "H2": -7.127090131976e-02, "H3": 7.237906400811e-02,
-    "H4": 1.698106451812e+00, "C0": -9.403490989183e-02,
+    "F2": 1.317721076922e-02, "F3": 5.848290958930e-01, "G1": 2.469537758089e+00,
+    "G2": -1.310846644877e-01, "G3": 5.526098331718e-02, "G4": 6.137356576832e-01,
+    "H1": 9.411791305595e-01, "H2": -7.127092283153e-02, "H3": 7.237904249593e-02,
+    "H4": 1.698107390704e+00, "C0": -9.403490989183e-02,
 }
 
 
@@ -52,6 +54,15 @@ def test_two_routes_agree(bundle_k2d3):
     thm = compute_coefficients(bundle_k2d3, 2.0, 3)
     der = compute_coefficients_derivation(bundle_k2d3, 2.0, 3)
     assert max_discrepancy(thm, der) < 1e-8
+
+
+@pytest.mark.parametrize("kappa,d", [(2.0, 3), (4.0, 2)])
+def test_coefficients_converged_at_default_resolution(kappa, d):
+    """The default profile resolution n = 1024 already gives every coefficient,
+    derivative-built ones included, to within 1e-9 of a four times finer solve."""
+    coarse = compute_coefficients(solve_bundle(kappa, d, 1024), kappa, d)
+    fine = compute_coefficients(solve_bundle(kappa, d, 4096), kappa, d)
+    assert max_discrepancy(coarse, fine) < 1e-9
 
 
 def test_h1_is_e1_bitwise(coeffs_k2d3):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from nematic_hydro import ibm
 from nematic_hydro.ibm import (
     IbmConfig,
     ParticleState,
@@ -123,12 +124,22 @@ def test_run_is_deterministic():
         assert np.array_equal(a.qtensor, b.qtensor)
 
 
-def test_run_argument_validation():
+def test_run_argument_validation(monkeypatch):
+    """Bad arguments are rejected before the first particle step."""
+
+    def no_step(*args):
+        raise AssertionError("run stepped before checking its arguments")
+
+    monkeypatch.setattr(ibm, "step", no_step)
     cfg = base_config()
     with pytest.raises(ValueError):
         run(cfg, T=0.0)
     with pytest.raises(ValueError):
         run(cfg, T=1.0, observe_every=0)
+    with pytest.raises(ValueError, match="bandwidth"):
+        run(cfg, T=0.5, coarse_grid_n=8, coarse_bandwidth=-0.1)
+    with pytest.raises(ValueError, match="grid_n"):
+        run(cfg, T=0.5, coarse_grid_n=0)
 
 
 @pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])

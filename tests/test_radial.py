@@ -139,6 +139,7 @@ def test_individual_solvers_match_bundle(bundle_k2d3):
     assert np.abs(h(r) - bundle_k2d3["h"](r)).max() == 0.0
     assert np.abs(c(r) - bundle_k2d3["c"](r)).max() == 0.0
     assert np.abs(k(r) - bundle_k2d3["k"](r)).max() == 0.0
+    assert h != bundle_k2d3["h"]  # solutions compare by identity, not by their arrays
 
 
 def test_profile_kind_and_coupling_validated():
@@ -179,15 +180,15 @@ def test_zero_mean_kinds_carry_no_defect_at_origin(n):
 
 
 def test_bundle_independent_of_quadrature_cache():
-    """The grid quadrature and the derivative mass matrices are cached per
-    resolution; a solve from a cleared cache and one from a warm cache are
-    bitwise equal, and the shared arrays cannot be written."""
+    """The grid quadrature is cached per resolution; a solve from a cleared
+    cache and one from a warm cache are bitwise equal, and the shared arrays
+    cannot be written."""
     radial._element_quadrature.cache_clear()
-    radial._derivative_mass.cache_clear()
     cold = solve_bundle(3.0, 3, 512)
     warm = solve_bundle(3.0, 3, 512)
     for kind in ALL_KINDS:
+        grid = cold[kind].grid
         assert np.array_equal(cold[kind].values, warm[kind].values)
-        assert np.array_equal(cold[kind].derivative_values, warm[kind].derivative_values)
-    cached = (*radial._element_quadrature(256), radial._derivative_mass(256))
+        assert np.array_equal(cold[kind].derivative(grid), warm[kind].derivative(grid))
+    cached = radial._element_quadrature(256)
     assert all(not a.flags.writeable for a in cached)
