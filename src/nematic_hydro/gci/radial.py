@@ -40,7 +40,7 @@ that would dominate any second-derivative reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -78,14 +78,16 @@ class RadialSolution:
     values: np.ndarray
     e_profile: RadialSolution | None = field(default=None, repr=False)
     _spline: CubicSpline = field(init=False, repr=False)
-    _slope_spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._spline = CubicSpline(self.grid, self.values)
-        self._slope_spline = CubicSpline(self.grid, self._spline(self.grid, 1))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._spline(r)
+
+    @cached_property  # built on first use: many solutions are read for values only
+    def _slope_spline(self) -> CubicSpline:
+        return CubicSpline(self.grid, self._spline(self.grid, 1))
 
     def derivative(self, r: np.ndarray) -> np.ndarray:
         return self._slope_spline(r)

@@ -467,7 +467,7 @@ def run(
 
 
 def _check_coarse_grid(grid_n: int, bandwidth: float) -> None:
-    if int(grid_n) != grid_n or grid_n < 1:
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
         raise ValueError("grid_n must be a positive integer")
     if bandwidth < 0.0:
         raise ValueError("bandwidth >= 0 required")

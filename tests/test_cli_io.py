@@ -336,6 +336,12 @@ class TestMain:
         assert cli.main(["macro", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "density must be positive" in capsys.readouterr().err
 
+    def test_macro_non_finite_initial_direction_exit_2(self, tmp_path, capsys):
+        text = "[macro]\nkappa = 4.0\nd = 2\ngrid_n = 16\nT = 1e-3\nwave = nan\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["macro", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "direction norms" in capsys.readouterr().err
+
     def test_validate_scaling_suite(self, tmp_path):
         cfg = write_cfg(tmp_path, "[validate]\neps = 0.2, 0.1\n")
         out = tmp_path / "out"

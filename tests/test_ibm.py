@@ -140,6 +140,14 @@ def test_run_argument_validation(monkeypatch):
         run(cfg, T=0.5, coarse_grid_n=8, coarse_bandwidth=-0.1)
     with pytest.raises(ValueError, match="grid_n"):
         run(cfg, T=0.5, coarse_grid_n=0)
+    for not_an_int in (8.0, True, "8", np.float64(8.0)):
+        with pytest.raises(ValueError, match="grid_n"):
+            run(cfg, T=0.5, coarse_grid_n=not_an_int)
+
+
+def test_coarse_grid_accepts_numpy_integers():
+    rho, u = coarse_grain(initial_state(base_config(N=10)), np.int64(4), 0.0, 1.0)
+    assert rho.shape == (4, 4) and u.shape == (4, 4, 2)
 
 
 @pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])

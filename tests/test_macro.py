@@ -14,7 +14,8 @@ from nematic_hydro.macro import (
     rotate_quarter_turn,
     step,
 )
-from nematic_hydro.macro import _ddx
+from nematic_hydro.cli_io.output import write_field_snapshot
+from nematic_hydro.macro import _check_in_range, _ddx
 
 
 def make_fields(n: int, amp: float = 0.3) -> MacroField:
@@ -24,6 +25,59 @@ def make_fields(n: int, amp: float = 0.3) -> MacroField:
     phi = 0.7 * np.sin(2 * np.pi * X) + 0.3 * np.cos(2 * np.pi * Y)
     u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     return MacroField(rho=rho, u=u, dx=1.0 / n)
+
+
+def make_fields_3d(n: int) -> MacroField:
+    xs = np.arange(n) / n
+    X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
+    rho = 1.0 + 0.3 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Z)
+    phi = 0.7 * np.sin(2 * np.pi * X) + 0.3 * np.cos(2 * np.pi * Y)
+    theta = 0.4 + 0.2 * np.sin(2 * np.pi * Z)
+    u = np.stack(
+        [np.cos(phi) * np.cos(theta), np.sin(phi) * np.cos(theta), np.sin(theta)], axis=-1
+    )
+    return MacroField(rho=rho, u=u, dx=1.0 / n)
+
+
+def rolled_rates(fields: MacroField, c) -> tuple[np.ndarray, np.ndarray]:
+    """Both rates from np.roll differences divided by 2 dx, on stacked arrays:
+    the same discrete terms as the stepper, assembled independently."""
+    rho, u, dx = fields.rho, fields.u, fields.dx
+    d, r = rho.ndim, rho[..., None]
+
+    def diff(f, i):
+        return (np.roll(f, -1, axis=i) - np.roll(f, 1, axis=i)) / (2.0 * dx)
+
+    def grad(f):
+        return np.stack([diff(f, i) for i in range(d)], axis=d)
+
+    def proj(v):
+        return v - u * np.einsum("...i,...i->...", u, v)[..., None]
+
+    gr, gu = grad(rho), grad(u)  # gu[..., i, j] = d_i u_j
+    div_u = np.einsum("...ii->...", gu)
+    curv = np.einsum("...i,...ij->...j", u, gu)
+    udr = np.einsum("...i,...i->...", u, gr)
+    p_gr, curv_t = proj(gr), proj(curv)
+    b = gu - u[..., :, None] * curv[..., None, :]
+    bracket = (
+        c.C1 * udr[..., None] * u + c.C2 * p_gr + c.C3 * r * curv
+        + c.C4 * (div_u * rho)[..., None] * u
+    )
+    drho = sum(diff(bracket[..., i], i) for i in range(d))
+    tangent = (
+        np.einsum("...ij,...j->...i", b, c.G2 * p_gr + c.H2 * r * curv_t)
+        + (c.G1 * udr + c.H4 * rho * div_u)[..., None] * curv_t
+        + (c.H1 * udr / rho + c.G4 * div_u)[..., None] * p_gr
+    )
+    wrapped = (
+        np.einsum("...j,...ji->...i", c.G3 * p_gr + c.H3 * r * curv_t, b)
+        + c.E1 * grad(udr)
+        + c.F1 * r * np.einsum("...k,...ki->...i", u, grad(curv_t))
+        + c.F2 * r * sum(diff(b[..., k, :], k) for k in range(d))
+        + c.F3 * r * grad(div_u)
+    )
+    return drho, (tangent + proj(wrapped)) / r
 
 
 def unit_field_2d(n: int) -> np.ndarray:
@@ -204,9 +258,9 @@ def test_auxiliary_checks_skip_density_terms_without_rho():
 def test_ddx_matches_rolled_difference(shape):
     arr = np.random.default_rng(5).standard_normal(shape)
     for axis in range(min(len(shape), 3)):
-        rolled = (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * 0.37)
-        assert np.array_equal(_ddx(arr, axis, 0.37), rolled)
-        assert np.array_equal(_ddx(np.asfortranarray(arr), axis, 0.37), rolled)
+        rolled = np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)
+        assert np.array_equal(_ddx(arr, axis), rolled)
+        assert np.array_equal(_ddx(np.asfortranarray(arr), axis), rolled)
 
 
 def test_results_are_not_overwritten_by_later_calls(coeffs_k4d2):
@@ -220,3 +274,61 @@ def test_results_are_not_overwritten_by_later_calls(coeffs_k4d2):
     direction_rhs(other, coeffs_k4d2)
     step(other, cfg)
     assert all(np.array_equal(r, k) for r, k in zip(results, kept))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rates_match_rolled_reference(dim, coeffs_k4d2, coeffs_k2d3):
+    if dim == 2:
+        fields, coeffs = make_fields(48), coeffs_k4d2
+    else:
+        fields, coeffs = make_fields_3d(12), coeffs_k2d3
+    ref_rho, ref_u = rolled_rates(fields, coeffs)
+    got = density_rate(fields, coeffs), direction_rhs(fields, coeffs)
+    for rate, ref in zip(got, (ref_rho, ref_u)):
+        assert np.abs(rate - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_component_major_input_steps_bitwise_like_c_stacked(coeffs_k4d2):
+    F = make_fields(32)
+    major = np.moveaxis(np.ascontiguousarray(np.moveaxis(F.u, -1, 0)), 0, -1)
+    assert major[..., 0].flags.c_contiguous and not F.u[..., 0].flags.c_contiguous
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=F.dx, dt=1e-5)
+    a, b = step(F, cfg), step(MacroField(rho=F.rho, u=major, dx=F.dx), cfg)
+    assert np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
+    assert a.u[..., 1].flags.c_contiguous  # the stepper returns u component-major
+    c, e = step(a, cfg), step(MacroField(rho=a.rho, u=np.ascontiguousarray(a.u), dx=a.dx), cfg)
+    assert np.array_equal(c.rho, e.rho) and np.array_equal(c.u, e.u)
+
+
+def test_snapshot_bytes_independent_of_direction_layout(coeffs_k4d2, tmp_path):
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 16, dt=1e-5)
+    stepped = step(make_fields(16), cfg)
+    c_order = MacroField(
+        rho=stepped.rho.copy(), u=np.ascontiguousarray(stepped.u), dx=stepped.dx, time=stepped.time
+    )
+    write_field_snapshot(tmp_path / "a.bin", stepped)
+    write_field_snapshot(tmp_path / "b.bin", c_order)
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_range_check_catches_nan_and_inf_in_any_plane():
+    ones = np.ones(4)
+    _check_in_range(ones, [ones, -ones], "now")
+    for bad in (np.nan, np.inf, -np.inf, -2e6):
+        with pytest.raises(BlowUpDetected):
+            _check_in_range(ones, [ones, np.array([1.0, bad, 1.0, 1.0])], "now")
+        with pytest.raises(BlowUpDetected):
+            _check_in_range(np.array([1.0, bad, 1.0, 1.0]), [ones, ones], "now")
+
+
+def test_validate_rejects_non_finite_fields():
+    F = make_fields(8)
+    F.validate()
+    u = F.u.copy()
+    u[3, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="direction"):
+        MacroField(rho=F.rho, u=u, dx=F.dx).validate()
+    rho = F.rho.copy()
+    rho[1, 1] = np.inf
+    with pytest.raises(ValueError, match="density"):
+        MacroField(rho=rho, u=F.u, dx=F.dx).validate()

@@ -2,6 +2,7 @@
 cross-check frozen into probe values, residual levels, parity, and signs."""
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from nematic_hydro.gci import radial
 from nematic_hydro.gci.radial import (
@@ -122,6 +123,16 @@ def test_derivative_consistent_with_values(bundle_k2d3):
     eps = 1e-6
     fd = (h(r + eps) - h(r - eps)) / (2 * eps)
     assert np.abs(fd - h.derivative(r)).max() < 1e-6
+
+
+def test_slope_spline_built_on_first_derivative_call():
+    sol = solve_profile("h", 2.0, 3, 64)
+    r = np.linspace(-0.8, 0.8, 17)
+    sol(r)
+    assert "_slope_spline" not in vars(sol)
+    slopes = CubicSpline(sol.grid, CubicSpline(sol.grid, sol.values)(sol.grid, 1))
+    assert np.array_equal(sol.derivative(r), slopes(r))
+    assert "_slope_spline" in vars(sol)
 
 
 def test_solution_metadata(bundle_k2d3):
