@@ -19,7 +19,7 @@ from ..constants import step_count
 from ..gci.coefficients import compute_coefficients
 from ..gci.corrector import CorrectorInputs
 from ..gci.radial import solve_bundle
-from ..ibm import IbmConfig, run as ibm_run
+from ..ibm import IbmConfig, coarse_grain, run as ibm_run
 from ..kinetic import bump_density, relaxation_series
 from ..macro import CflViolation, MacroConfig, MacroField
 from ..macro import step as macro_step
@@ -115,11 +115,7 @@ def _run_ibm(cfg: RunConfig, cfg_text: str, out: Path) -> None:
         N=p["N"], d=p["d"], nu=p["nu"], D=p["D"], R=p["R"], kernel=p["kernel"],
         box_length=p["box_length"], dt=p["dt"], seed=p["seed"],
     )
-    grid = p["coarse_grid"] if p["coarse_grid"] > 0 else None
-    observations = ibm_run(
-        ibm_cfg, p["T"], observe_every=p["observe_every"],
-        coarse_grid_n=grid, coarse_bandwidth=p["coarse_bandwidth"],
-    )
+    observations, final = ibm_run(ibm_cfg, p["T"], observe_every=p["observe_every"])
     d = p["d"]
     header = ["time", "order_parameter"] + [
         f"q{i}{j}" for i in range(d) for j in range(d)
@@ -132,10 +128,12 @@ def _run_ibm(cfg: RunConfig, cfg_text: str, out: Path) -> None:
     write_sidecar(out / "observations.csv", chash, {"columns": header})
     write_observation_binary(out / "observations.bin", p["N"], d, p["dt"], rows)
     write_sidecar(out / "observations.bin", chash, {"columns": header})
-    if grid is not None:
-        final = observations[-1]
-        np.save(out / "coarse_rho.npy", final.rho_hat)
-        np.save(out / "coarse_u.npy", final.u_hat)
+    if p["coarse_grid"] > 0:
+        rho_hat, u_hat = coarse_grain(
+            final, p["coarse_grid"], p["coarse_bandwidth"], p["box_length"]
+        )
+        np.save(out / "coarse_rho.npy", rho_hat)
+        np.save(out / "coarse_u.npy", u_hat)
         write_sidecar(out / "coarse_rho.npy", chash)
         write_sidecar(out / "coarse_u.npy", chash)
 

@@ -61,10 +61,7 @@ def write_sidecar(data_path: Path, cfg_hash: str, extra: Optional[dict] = None) 
     payload = {"config_sha256": cfg_hash, "code_version": __version__}
     if extra:
         payload.update(extra)
-    side = Path(str(data_path) + ".json")
-    side.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_json(Path(str(data_path) + ".json"), payload)
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -29,7 +29,7 @@ state uses the reserved stream index 2**64 - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -48,6 +48,11 @@ KERNELS = ("indicator", "smooth-bump", "global")
 ORIENT_TOL = 1e-10
 
 _INIT_STREAM = 2**64 - 1
+
+
+def _is_integer(value: object) -> bool:
+    """True for Python and numpy integers; False for bools, floats and strings."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,9 @@ class IbmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 1:
+        if not _is_integer(self.N) or self.N < 1:
             raise ValueError("N must be a positive integer")
-        if int(self.d) != self.d or self.d < 2:
+        if not _is_integer(self.d) or self.d < 2:
             raise ValueError("d must be an integer >= 2")
         if not (self.nu >= 0.0):
             raise ValueError("nu >= 0 required")
@@ -89,7 +94,7 @@ class IbmConfig:
             raise ValueError("box_length > 0 required")
         if not (self.dt > 0.0):
             raise ValueError("dt > 0 required")
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
+        if not _is_integer(self.seed) or not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an integer representable in 64 bits")
         # Alignment must stay a small rotation per step.
         if self.dt * self.nu > 0.1:
@@ -135,18 +140,11 @@ class ParticleState:
 
 @dataclass(frozen=True)
 class Observation:
-    """Snapshot summary recorded by run.
-
-    u_hat rows are NaN for grid cells that were empty or had a degenerate
-    Q-tensor; rho_hat and u_hat are None unless coarse fields were asked
-    for, and then only the final observation carries them.
-    """
+    """Snapshot summary recorded by run."""
 
     time: float
     qtensor: np.ndarray
     order_parameter: float
-    rho_hat: Optional[np.ndarray] = None
-    u_hat: Optional[np.ndarray] = None
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -433,26 +431,20 @@ def _observe(state: ParticleState) -> Observation:
 
 
 def run(
-    config: IbmConfig,
-    T: float,
-    observe_every: int = 1,
-    coarse_grid_n: Optional[int] = None,
-    coarse_bandwidth: float = 0.0,
-) -> list[Observation]:
+    config: IbmConfig, T: float, observe_every: int = 1
+) -> tuple[list[Observation], ParticleState]:
     """Simulate from an isotropic random start to time T.
 
     Records step 0, every observe_every-th step, and the final step.  Each
     observation carries the global Q-tensor and its leading eigenvalue as
-    the scalar order parameter; the final one also carries coarse-grained
-    fields when a grid was requested.  Same config, same observations, bit
-    for bit.
+    the scalar order parameter.  Returns the observations and the final
+    state; step t draws from the stream keyed (config.seed, t).  Same
+    config, same observations and final state, bit for bit.
     """
     if not (T > 0.0):
         raise ValueError("T > 0 required")
     if int(observe_every) != observe_every or observe_every < 1:
         raise ValueError("observe_every must be a positive integer")
-    if coarse_grid_n is not None:
-        _check_coarse_grid(coarse_grid_n, coarse_bandwidth)
     n_steps = step_count(T, config.dt)
     state = initial_state(config)
     observations = [_observe(state)]
@@ -460,17 +452,7 @@ def run(
         state = step(state, config, _stream(config.seed, t))
         if (t + 1) % observe_every == 0 or t + 1 == n_steps:
             observations.append(_observe(state))
-    if coarse_grid_n is not None:
-        rho_hat, u_hat = coarse_grain(state, coarse_grid_n, coarse_bandwidth, config.box_length)
-        observations[-1] = replace(observations[-1], rho_hat=rho_hat, u_hat=u_hat)
-    return observations
-
-
-def _check_coarse_grid(grid_n: int, bandwidth: float) -> None:
-    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
-        raise ValueError("grid_n must be a positive integer")
-    if bandwidth < 0.0:
-        raise ValueError("bandwidth >= 0 required")
+    return observations, state
 
 
 def coarse_grain(
@@ -488,7 +470,10 @@ def coarse_grain(
     averaged outer products, never from averaging orientation vectors,
     which would cancel for nematic states.
     """
-    _check_coarse_grid(grid_n, bandwidth)
+    if not _is_integer(grid_n) or grid_n < 1:
+        raise ValueError("grid_n must be a positive integer")
+    if not (bandwidth >= 0.0):
+        raise ValueError("bandwidth >= 0 required")
     n, d = state.positions.shape
     cell_size = box_length / grid_n
     coords = np.minimum((state.positions / cell_size).astype(np.int64), grid_n - 1)

@@ -33,7 +33,7 @@ from .ibm import (
     IbmConfig,
     ParticleState,
     coarse_grain,
-    initial_state,
+    run,
     step,
     _stream,
 )
@@ -393,10 +393,7 @@ def ibm_equilibrium_statistics(config: IbmConfig, T: float) -> EquilibriumStats:
         raise ValueError("equilibrium statistics require the global kernel")
     if config.D <= 0.0:
         raise ValueError("D > 0 required, the marginal is ill-defined otherwise")
-    n_steps = step_count(T, config.dt)
-    state = initial_state(config)
-    for t in range(n_steps):
-        state = step(state, config, _stream(config.seed, t))
+    _, state = run(config, T, observe_every=step_count(T, config.dt))
     q_tensor = qtensor_from_orientations(state.orientations)
     info = leading_direction(q_tensor)
     samples = state.orientations @ info.direction
@@ -493,7 +490,6 @@ def particle_vs_macro(
     eps: float,
     T_macro: float,
     *,
-    coefficients=None,
     grid_n: int = 32,
 ) -> CrossScaleReport:
     """Particle run against the limiting continuum system, parabolically matched.
@@ -504,7 +500,9 @@ def particle_vs_macro(
     particle initial data (Gaussian bandwidth 1.5 cells) on a box of length
     eps L, and both systems advance to the matched horizon: micro time
     D T_macro / eps^2, with a continuum step at 0.2 of its diffusive bound.
-    Distances are recorded at _CROSS_CHECKPOINTS intermediate times.
+    The continuum coefficients are those at kappa = nu/D, from a radial
+    bundle of 1024 elements.  Distances are recorded at _CROSS_CHECKPOINTS
+    intermediate times.
     """
     from .gci.coefficients import compute_coefficients
     from .gci.radial import solve_bundle
@@ -516,8 +514,7 @@ def particle_vs_macro(
     n_micro = step_count(config.D * T_macro / eps**2, config.dt)
     kappa = config.nu / config.D
     d = config.d
-    if coefficients is None:
-        coefficients = compute_coefficients(solve_bundle(kappa, d, 1024), kappa, d)
+    coefficients = compute_coefficients(solve_bundle(kappa, d, 1024), kappa, d)
 
     gen = _stream(config.seed, 2**64 - 2)
     u0 = np.zeros(d)

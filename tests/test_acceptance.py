@@ -453,16 +453,14 @@ def test_11_particle_equilibrium_statistics_reproducible(criterion_report):
         )
 
 
-def test_12_particle_density_tracks_continuum(coeffs_k4d2, criterion_report):
+def test_12_particle_density_tracks_continuum(criterion_report):
     config = IbmConfig(
         N=100_000, d=2, nu=4.0, D=1.0, R=0.1,
         kernel="indicator", box_length=10.0, dt=0.02, seed=7,
     )
     with criterion(criterion_report, 12, gate=False) as log:
         t0 = time.perf_counter()
-        report = particle_vs_macro(
-            config, 0.1, 0.05, coefficients=coeffs_k4d2, grid_n=32
-        )
+        report = particle_vs_macro(config, 0.1, 0.05, grid_n=32)
         elapsed = time.perf_counter() - t0
         log.check(
             bool(np.isfinite(report.density_distances).all()),

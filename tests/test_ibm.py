@@ -49,11 +49,19 @@ class TestConfigValidation:
             {"dt": 0.5, "nu": 1.0},  # dt * nu too coarse
             {"R": 0.6},  # must stay below half the box
             {"seed": -1},
+            {"N": 50.0},  # whole-valued floats and bools are not integers
+            {"N": True},
+            {"d": 3.0},
+            {"seed": 3.0},
+            {"seed": True},
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             base_config(**bad)
+
+    def test_accepts_numpy_integers(self):
+        base_config(N=np.int64(10), d=np.int32(3), seed=np.uint64(2**64 - 1))
 
     def test_accepts_kernels(self):
         for kernel in ("indicator", "smooth-bump", "global"):
@@ -115,8 +123,8 @@ def test_single_particle_moves_at_unit_speed():
 
 def test_run_is_deterministic():
     cfg = base_config(N=300, nu=2.0, D=0.3, R=0.2, kernel="indicator", dt=5e-3, seed=42)
-    obs_a = run(cfg, T=0.25, observe_every=10)
-    obs_b = run(cfg, T=0.25, observe_every=10)
+    obs_a, _ = run(cfg, T=0.25, observe_every=10)
+    obs_b, _ = run(cfg, T=0.25, observe_every=10)
     assert len(obs_a) == len(obs_b) > 1
     for a, b in zip(obs_a, obs_b):
         assert a.time == b.time
@@ -136,13 +144,6 @@ def test_run_argument_validation(monkeypatch):
         run(cfg, T=0.0)
     with pytest.raises(ValueError):
         run(cfg, T=1.0, observe_every=0)
-    with pytest.raises(ValueError, match="bandwidth"):
-        run(cfg, T=0.5, coarse_grid_n=8, coarse_bandwidth=-0.1)
-    with pytest.raises(ValueError, match="grid_n"):
-        run(cfg, T=0.5, coarse_grid_n=0)
-    for not_an_int in (8.0, True, "8", np.float64(8.0)):
-        with pytest.raises(ValueError, match="grid_n"):
-            run(cfg, T=0.5, coarse_grid_n=not_an_int)
 
 
 def test_coarse_grid_accepts_numpy_integers():
@@ -291,22 +292,27 @@ class TestCoarseGrain:
 
     def test_argument_validation(self):
         st = initial_state(base_config(N=10))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid_n"):
             coarse_grain(st, 0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            coarse_grain(st, 4, -0.1, 1.0)
+        for not_an_int in (8.0, True, "8", np.float64(8.0)):
+            with pytest.raises(ValueError, match="grid_n"):
+                coarse_grain(st, not_an_int, 0.0, 1.0)
+        for bad_bandwidth in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="bandwidth"):
+                coarse_grain(st, 4, bad_bandwidth, 1.0)
 
 
-def test_observation_carries_coarse_fields():
+def test_run_returns_the_final_state_of_the_seeded_march():
     cfg = base_config(N=500, dt=5e-3, seed=8)
-    obs = run(cfg, T=0.05, observe_every=5, coarse_grid_n=8, coarse_bandwidth=0.1)
-    assert obs[-1].rho_hat is not None and obs[-1].rho_hat.shape == (8, 8)
-    assert obs[-1].u_hat is not None and obs[-1].u_hat.shape == (8, 8, 2)
-    # only the final observation is coarse-grained
-    assert all(ob.rho_hat is None and ob.u_hat is None for ob in obs[:-1])
-    plain = run(cfg, T=0.05, observe_every=5)
-    assert plain[-1].rho_hat is None and plain[-1].u_hat is None
-    assert plain[-1].order_parameter == obs[-1].order_parameter
+    obs, final = run(cfg, T=0.05, observe_every=4)
+    state = initial_state(cfg)
+    for t in range(10):
+        state = step(state, cfg, _stream(cfg.seed, t))
+    assert final.time == state.time == obs[-1].time
+    assert np.array_equal(final.positions, state.positions)
+    assert np.array_equal(final.orientations, state.orientations)
+    assert [ob.time for ob in obs] == pytest.approx([0.0, 0.02, 0.04, 0.05])
+    assert np.array_equal(obs[-1].qtensor, qtensor_from_orientations(final.orientations))
 
 
 # ---------------------------------------------------------------------------
@@ -434,4 +440,4 @@ def test_horizon_shorter_than_one_step_is_rejected():
     cfg = base_config(dt=1e-2)
     with pytest.raises(ValueError, match="shorter than one step"):
         run(cfg, T=0.004)
-    assert len(run(cfg, T=0.006)) == 2  # rounds to one step
+    assert len(run(cfg, T=0.006)[0]) == 2  # rounds to one step
