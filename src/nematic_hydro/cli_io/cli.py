@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import sys
 from pathlib import Path
@@ -91,15 +90,12 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 def _write_meta(out: Path, cfg_text: str, started: str) -> None:
     """The one timestamped file, kept apart from the deterministic data."""
-    meta = {
+    write_json(out / "run_meta.json", {
         "started_utc": started,
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "canonical_config": cfg_text,
         "config_sha256": config_hash(cfg_text),
-    }
-    (out / "run_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def _run_coeffs(cfg: RunConfig, cfg_text: str, out: Path) -> None:
@@ -177,9 +173,7 @@ def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
     if coeffs_path is not None:
         coefficients = load_coefficient_row(coeffs_path, kappa, d)
     else:
-        coefficients = compute_coefficients(
-            solve_bundle(kappa, d, p["n_profile"]), kappa, d
-        )
+        coefficients = compute_coefficients(solve_bundle(kappa, d, p["n_profile"]))
     macro_cfg = MacroConfig.at_cfl(coefficients, field.dx, p["cfl_safety"])
     n_steps = step_count(p["T"], macro_cfg.dt)
     snap_at = sorted(set(np.linspace(0, n_steps, p["snapshots"] + 1).round().astype(int)))
@@ -236,10 +230,9 @@ def _validate_gci(p: dict) -> _SuiteResult:
         axis /= np.linalg.norm(axis)
         vecs = gen.standard_normal((2, d))
         field = AlignedPerturbation(
-            kappa=kappa, d=d, axis=axis,
-            amplitudes=(0.4, -0.2), vectors=vecs, shift=0.3,
+            kappa=kappa, axis=axis, amplitudes=(0.4, -0.2), vectors=vecs, shift=0.3,
         )
-        rep = gci_orthogonality_report(field, h_sol, kappa, p["D"])
+        rep = gci_orthogonality_report(field, h_sol, p["D"])
         rows.append([trial, rep["orthogonality"], rep["mass"]])
     rows_arr = np.array(rows)
     return {
@@ -263,7 +256,7 @@ def _validate_corrector(p: dict) -> _SuiteResult:
     resolutions = (p["n"] // 4, p["n"] // 2, p["n"])
     rows = []
     for n in resolutions:
-        channels = corrector_channel_residuals(inputs, solve_bundle(kappa, d, n), kappa)
+        channels = corrector_channel_residuals(inputs, solve_bundle(kappa, d, n))
         rows.append([n, max(channels.values()), *channels.values()])
     names = list(channels)
     return {

@@ -8,6 +8,7 @@ unknown keys are rejected.  parse -> serialize -> parse is the identity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -150,11 +151,14 @@ def _parse_scalar(token: str, kind: str, key: str, line_no: int) -> Value:
             ) from None
     if kind == "real":
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise ConfigError(
                 "type-mismatch", line_no, f"key {key!r} expects a real number, got {token!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError("bad-value", line_no, f"key {key!r} must be finite, got {token!r}")
+        return value
     return token  # string
 
 

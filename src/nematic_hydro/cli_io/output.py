@@ -162,8 +162,8 @@ def coefficient_table_rows(
             row: list = [float(kappa), int(d)]
             try:
                 bundle = solve_bundle(float(kappa), int(d), n)
-                thm = compute_coefficients(bundle, float(kappa), int(d))
-                der = compute_coefficients_derivation(bundle, float(kappa), int(d))
+                thm = compute_coefficients(bundle)
+                der = compute_coefficients_derivation(bundle)
                 row.append("ok")
                 row.extend(getattr(thm, name) for name in _TABLE_NAMES)
                 row.extend(getattr(der, name) for name in _TABLE_NAMES)

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .radial import ALL_KINDS, RadialSolution
+from .radial import ALL_KINDS, RadialSolution, _bundle_parameters
 
 COEFFICIENT_NAMES = (
     "C1", "C2", "C3", "C4",
@@ -98,23 +98,16 @@ def max_discrepancy(a: CoefficientSet, b: CoefficientSet) -> float:
     return max(abs(getattr(a, n) - getattr(b, n)) for n in COEFFICIENT_NAMES)
 
 
-def _profiles_at(
-    bundle: dict[str, RadialSolution], kappa: float, d: int, x: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Validate the bundle, then return h, a, b, c, e, k and a', b', c', e', k' at x."""
-    missing = [k for k in ALL_KINDS if k not in bundle]
-    if missing:
-        raise ValueError(f"bundle missing kinds {missing}")
-    for kind, sol in bundle.items():
-        if sol.kind != kind:
-            raise ValueError(f"bundle key {kind!r} holds a {sol.kind!r} solution")
-        if (sol.kappa, sol.d) != (float(kappa), int(d)):
-            raise ValueError(
-                f"profile {kind!r} solved at (kappa={sol.kappa}, d={sol.d}), "
-                f"expected ({kappa}, {d})"
-            )
+def _coefficient_parameters(bundle: dict[str, RadialSolution]) -> tuple[float, int]:
+    """The (kappa, d) all six profiles share; the formulas need kappa > 0."""
+    kappa, d = _bundle_parameters(bundle, ALL_KINDS)
     if kappa <= 0:
         raise ValueError("coefficient formulas require kappa > 0")
+    return kappa, d
+
+
+def _profiles_at(bundle: dict[str, RadialSolution], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """h, a, b, c, e, k and a', b', c', e', k' at x."""
     values = tuple(bundle[kind](x) for kind in "habcek")
     return values + tuple(bundle[kind].derivative(x) for kind in "abcek")
 
@@ -135,14 +128,15 @@ def _export(
 
 
 def compute_coefficients(
-    bundle: dict[str, RadialSolution], kappa: float, d: int, n_quad: int = DEFAULT_N_QUAD
+    bundle: dict[str, RadialSolution], n_quad: int = DEFAULT_N_QUAD
 ) -> CoefficientSet:
-    """Averaged-formula route, Gauss-Legendre in theta on (0, pi)."""
+    """Averaged-formula route at the bundle's (kappa, d), Gauss-Legendre in theta on (0, pi)."""
     xg, wg = leggauss(n_quad)
     th = 0.5 * np.pi * (xg + 1.0)
     w = 0.5 * np.pi * wg
     ct, st = np.cos(th), np.sin(th)
-    h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, kappa, d, ct)
+    kappa, d = _coefficient_parameters(bundle)
+    h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, ct)
     E = np.exp(0.5 * kappa * ct**2)
 
     q = E * st ** (d - 2)
@@ -190,13 +184,12 @@ def compute_coefficients(
     return _export(raw, aux, kappa, d)
 
 
-def compute_coefficients_derivation(
-    bundle: dict[str, RadialSolution], kappa: float, d: int
-) -> CoefficientSet:
-    """Building-block route on Gauss-Jacobi((d-3)/2) nodes in r."""
+def compute_coefficients_derivation(bundle: dict[str, RadialSolution]) -> CoefficientSet:
+    """Building-block route at the bundle's (kappa, d), on Gauss-Jacobi((d-3)/2) nodes in r."""
+    kappa, d = _coefficient_parameters(bundle)
     alpha = (d - 3) / 2.0
     rj, wj = roots_jacobi(DEFAULT_N_QUAD, alpha, alpha)
-    h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, kappa, d, rj)
+    h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, rj)
     E = np.exp(0.5 * kappa * rj**2)
     Z = float((wj * E).sum())
 

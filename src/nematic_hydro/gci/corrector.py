@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sphere import assert_unit
-from .equilibrium import Equilibrium
-from .radial import RadialSolution
+from .equilibrium import Equilibrium, make_equilibrium
+from .radial import RadialSolution, _bundle_parameters
 
 CORRECTOR_CHANNELS = {
     "a": "density_gradient",
@@ -101,31 +101,26 @@ def channel_envelopes(
     }
 
 
-def _validate_corrector_bundle(bundle: dict[str, RadialSolution], eq: Equilibrium) -> None:
-    missing = [k for k in CORRECTOR_KINDS if k not in bundle]
-    if missing:
-        raise ValueError(f"corrector bundle missing kinds {missing}")
-    for kind in CORRECTOR_KINDS:
-        sol = bundle[kind]
-        if sol.kind != kind:
-            raise ValueError(f"bundle key {kind!r} holds a {sol.kind!r} solution")
-        if (sol.kappa, sol.d) != (eq.kappa, eq.d):
-            raise ValueError("bundle and equilibrium disagree on (kappa, d)")
+def _validate_corrector_bundle(
+    inputs: CorrectorInputs, bundle: dict[str, RadialSolution]
+) -> Equilibrium:
+    """The equilibrium at the (kappa, d) the five channel profiles and the inputs share."""
+    kappa, d = _bundle_parameters(bundle, CORRECTOR_KINDS)
+    if inputs.u.shape[0] != d:
+        raise ValueError(f"inputs of dimension {inputs.u.shape[0]}, profiles of d = {d}")
+    return make_equilibrium(kappa, d)
 
 
 def corrector_f1(
-    inputs: CorrectorInputs,
-    bundle: dict[str, RadialSolution],
-    eq: Equilibrium,
-    omega: np.ndarray,
+    inputs: CorrectorInputs, bundle: dict[str, RadialSolution], omega: np.ndarray
 ) -> float | np.ndarray:
-    """Pointwise corrector value rho * M_u(omega) * (channel sum).
+    """Pointwise corrector value rho * M_u(omega) * (channel sum), M_u at the bundle's (kappa, d).
 
     Accepts a single orientation (d,) or a stack (m, d).  Under quadrature
     the result integrates to zero against 1/M_u and leaves the transverse
     second moment aligned with u (both within 1e-8 at default resolution).
     """
-    _validate_corrector_bundle(bundle, eq)
+    eq = _validate_corrector_bundle(inputs, bundle)
     envelopes = channel_envelopes(inputs, eq.kappa, omega)
     r = np.asarray(omega, dtype=float) @ inputs.u
     channel_sum = sum(bundle[kind](r) * envelopes[kind] for kind in CORRECTOR_KINDS)

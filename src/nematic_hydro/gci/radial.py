@@ -73,7 +73,6 @@ class RadialSolution:
     kind: str
     kappa: float
     d: int
-    n: int
     grid: np.ndarray
     values: np.ndarray
     e_profile: RadialSolution | None = field(default=None, repr=False)
@@ -84,6 +83,11 @@ class RadialSolution:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._spline(r)
+
+    @property
+    def n(self) -> int:
+        """Number of elements, one fewer than the grid vertices."""
+        return self.grid.size - 1
 
     @cached_property  # built on first use: many solutions are read for values only
     def _slope_spline(self) -> CubicSpline:
@@ -211,7 +215,6 @@ def _make_profile(
         kind=kind,
         kappa=float(kappa),
         d=int(d),
-        n=int(n),
         grid=_reflect(r, "odd"),
         values=_reflect(u[::p], _PROBLEMS[kind].parity),
         e_profile=e,
@@ -248,6 +251,23 @@ def solve_bundle(kappa: float, d: int, n: int) -> dict[str, RadialSolution]:
     for kind in ALL_KINDS:
         out[kind] = _make_profile(kind, kappa, d, n, out["e"] if kind == "k" else None)
     return out
+
+
+def _bundle_parameters(bundle: dict[str, RadialSolution], kinds: tuple) -> tuple[float, int]:
+    """The (kappa, d) the profiles of the given kinds share, each under its own key."""
+    missing = [k for k in kinds if k not in bundle]
+    if missing:
+        raise ValueError(f"bundle missing kinds {missing}")
+    kappa, d = bundle[kinds[0]].kappa, bundle[kinds[0]].d
+    for kind in kinds:
+        sol = bundle[kind]
+        if sol.kind != kind:
+            raise ValueError(f"bundle key {kind!r} holds a {sol.kind!r} solution")
+        if (sol.kappa, sol.d) != (kappa, d):
+            raise ValueError(
+                f"profile {kind!r} solved at ({sol.kappa}, {sol.d}), {kinds[0]!r} at ({kappa}, {d})"
+            )
+    return kappa, d
 
 
 def _vertex_fit_derivatives(r: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -441,9 +441,7 @@ def run(
     state; step t draws from the stream keyed (config.seed, t).  Same
     config, same observations and final state, bit for bit.
     """
-    if not (T > 0.0):
-        raise ValueError("T > 0 required")
-    if int(observe_every) != observe_every or observe_every < 1:
+    if not _is_integer(observe_every) or observe_every < 1:
         raise ValueError("observe_every must be a positive integer")
     n_steps = step_count(T, config.dt)
     state = initial_state(config)
@@ -472,8 +470,8 @@ def coarse_grain(
     """
     if not _is_integer(grid_n) or grid_n < 1:
         raise ValueError("grid_n must be a positive integer")
-    if not (bandwidth >= 0.0):
-        raise ValueError("bandwidth >= 0 required")
+    if not (0.0 <= bandwidth < math.inf):
+        raise ValueError("0 <= bandwidth < inf required")
     n, d = state.positions.shape
     cell_size = box_length / grid_n
     coords = np.minimum((state.positions / cell_size).astype(np.int64), grid_n - 1)

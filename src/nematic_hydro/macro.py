@@ -137,17 +137,16 @@ class MacroConfig:
     """Time-integration parameters tied to one CoefficientSet.
 
     The lattice dimension is the coefficient dimension d, 2 or 3.  The
-    stability bound is diffusive: dt <= cfl_safety * dx^2 / c_max with
-    c_max the largest of the positive diffusion coefficients (C1..C4, E1,
-    F1..F3).  step() refuses configurations that violate it; at_cfl()
-    builds the one whose dt is that bound.
+    stability bound is diffusive: dt <= cfl_safety * dx^2 / c_max on a field
+    of spacing dx, c_max the largest of the positive diffusion coefficients
+    (C1..C4, E1, F1..F3).  step() refuses a field on which dt violates it;
+    at_cfl() builds the config whose dt is that bound at a given dx.
 
     A config also keeps the scratch planes of its steps (_Planes), so two
     threads should not step with one config at the same time.
     """
 
     coefficients: CoefficientSet
-    dx: float
     dt: float
     cfl_safety: float = 0.25
     _planes: _Planes | None = field(default=None, init=False, repr=False, compare=False)
@@ -155,8 +154,8 @@ class MacroConfig:
     def __post_init__(self) -> None:
         if self.coefficients.d not in (2, 3):
             raise ValueError(f"coefficient dimension {self.coefficients.d} is not 2 or 3")
-        if not (self.dx > 0 and self.dt > 0):
-            raise ValueError("dx and dt must be positive")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
 
@@ -165,7 +164,7 @@ class MacroConfig:
         cls, coefficients: CoefficientSet, dx: float, cfl_safety: float
     ) -> MacroConfig:
         """The config whose dt equals the bound cfl_safety * dx^2 / c_max."""
-        return cls(coefficients, dx, _cfl_bound(coefficients, dx, cfl_safety), cfl_safety)
+        return cls(coefficients, _cfl_bound(coefficients, dx, cfl_safety), cfl_safety)
 
     def _planes_for(self, shape: tuple[int, ...]) -> _Planes:
         """This config's planes, replaced when the lattice shape changes."""
@@ -511,9 +510,7 @@ def _check_step_preconditions(fields: MacroField, config: MacroConfig) -> None:
             f"field dimension {fields.spatial_dim} does not match the "
             f"coefficient dimension {config.coefficients.d}"
         )
-    if abs(fields.dx - config.dx) > 1e-15 * config.dx:
-        raise ValueError("field and config disagree on the lattice spacing")
-    bound = _cfl_bound(config.coefficients, config.dx, config.cfl_safety)
+    bound = _cfl_bound(config.coefficients, fields.dx, config.cfl_safety)
     if config.dt > bound:
         raise CflViolation(
             f"dt={config.dt:.3e} exceeds the diffusive bound "

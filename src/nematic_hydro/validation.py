@@ -24,6 +24,7 @@ from .constants import step_count
 from .gci.corrector import (
     CORRECTOR_CHANNELS,
     CorrectorInputs,
+    _validate_corrector_bundle,
     channel_envelopes,
     gci_vector,
 )
@@ -191,7 +192,6 @@ class AlignedPerturbation:
     """
 
     kappa: float
-    d: int
     axis: np.ndarray
     amplitudes: tuple[float, ...] = ()
     vectors: Optional[np.ndarray] = None
@@ -210,6 +210,10 @@ class AlignedPerturbation:
             raise ValueError("one unit vector per amplitude is required")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
+
+    @property
+    def d(self) -> int:
+        return self.axis.size
 
     def _q_parts(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = omega @ self.vectors.T if self.vectors.size else np.zeros((omega.shape[0], 0))
@@ -261,22 +265,18 @@ class AlignedPerturbation:
 
 
 def gci_orthogonality_report(
-    field: AlignedPerturbation,
-    h_sol: RadialSolution,
-    kappa: float,
-    D: float,
+    field: AlignedPerturbation, h_sol: RadialSolution, D: float
 ) -> dict[str, float]:
     """Orthogonality and mass integrals of the collision operator.
 
-    The alignment axis is the leading eigenvector of the field's own
-    Q-tensor, as the operator prescribes; a degenerate leading eigenvalue
-    propagates as DegenerateLeadingEigenvalue.  Keys: "orthogonality" is the
-    Euclidean norm of the integral against the vector invariant,
-    "mass" the absolute integral of the operator alone.
+    The field and the h profile share one (kappa, d); nu = kappa D.  The
+    alignment axis is the leading eigenvector of the field's own Q-tensor, as
+    the operator prescribes; a degenerate leading eigenvalue propagates as
+    DegenerateLeadingEigenvalue.  Keys: "orthogonality" is the Euclidean norm
+    of the integral against the vector invariant, "mass" the absolute
+    integral of the operator alone.
     """
-    if h_sol.kind != "h":
-        raise ValueError("the vector invariant requires the 'h' profile")
-    if abs(h_sol.kappa - kappa) > 1e-12 or h_sol.d != field.d:
+    if (field.kappa, field.d) != (h_sol.kappa, h_sol.d):
         raise ValueError("h profile and field disagree on (kappa, d)")
     axis0 = np.zeros(field.d)
     axis0[-1] = 1.0
@@ -289,7 +289,7 @@ def gci_orthogonality_report(
         np.einsum("mi,mj->mij", quad.nodes, quad.nodes) - np.eye(field.d) / field.d,
     )
     u = leading_direction(q_tensor).direction
-    gamma = field.collision_values(quad.nodes, u, kappa * D, D)
+    gamma = field.collision_values(quad.nodes, u, h_sol.kappa * D, D)
     psi = gci_vector(h_sol, u, quad.nodes)
     orth = float(np.linalg.norm(quad.integrate(gamma[:, None] * psi)))
     mass = float(abs(quad.integrate(gamma)))
@@ -301,9 +301,7 @@ def gci_orthogonality_report(
 
 
 def corrector_channel_residuals(
-    inputs: CorrectorInputs,
-    bundle: dict[str, RadialSolution],
-    kappa: float,
+    inputs: CorrectorInputs, bundle: dict[str, RadialSolution]
 ) -> dict[str, float]:
     """Sup-norm defect of each corrector channel over quadrature nodes.
 
@@ -312,15 +310,14 @@ def corrector_channel_residuals(
     channel's angular envelope; the pointwise defect therefore factorizes
     into (radial strong-form defect) x (envelope) x (gradient activity),
     weighted by the equilibrium density.  The profiles satisfy reduced
-    equations with D scaled out, so D enters only through kappa; the defect
-    is reported in that normalization.
+    equations with D scaled out, so D enters only through the bundle's
+    kappa; the defect is reported in that normalization.
     """
-    d = inputs.u.shape[0]
-    eq = make_equilibrium(kappa, d)
-    quad = build_quadrature(d, inputs.u, 96)
+    eq = _validate_corrector_bundle(inputs, bundle)
+    quad = build_quadrature(eq.d, inputs.u, 96)
     r = quad.nodes @ inputs.u
     m_weight = eq.density(r)
-    envelopes = channel_envelopes(inputs, kappa, quad.nodes)
+    envelopes = channel_envelopes(inputs, eq.kappa, quad.nodes)
 
     out = {}
     for kind, name in CORRECTOR_CHANNELS.items():
@@ -514,7 +511,7 @@ def particle_vs_macro(
     n_micro = step_count(config.D * T_macro / eps**2, config.dt)
     kappa = config.nu / config.D
     d = config.d
-    coefficients = compute_coefficients(solve_bundle(kappa, d, 1024), kappa, d)
+    coefficients = compute_coefficients(solve_bundle(kappa, d, 1024))
 
     gen = _stream(config.seed, 2**64 - 2)
     u0 = np.zeros(d)

@@ -17,12 +17,12 @@ def bundle_k4d2():
 
 @pytest.fixture(scope="session")
 def coeffs_k2d3(bundle_k2d3):
-    return compute_coefficients(bundle_k2d3, 2.0, 3)
+    return compute_coefficients(bundle_k2d3)
 
 
 @pytest.fixture(scope="session")
 def coeffs_k4d2(bundle_k4d2):
-    return compute_coefficients(bundle_k4d2, 4.0, 2)
+    return compute_coefficients(bundle_k4d2)
 
 
 @pytest.fixture()

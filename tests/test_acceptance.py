@@ -86,7 +86,7 @@ def grid_coefficients(grid_bundles):
     bundles, solve_elapsed = grid_bundles
     t0 = time.perf_counter()
     coeffs = {
-        (kappa, d): compute_coefficients(bundle, kappa, d)
+        (kappa, d): compute_coefficients(bundle)
         for (kappa, d), bundle in bundles.items()
     }
     return coeffs, solve_elapsed + (time.perf_counter() - t0)
@@ -137,7 +137,7 @@ def test_02_coefficient_identities_and_route_agreement(
         )
         worst_gap = max(
             max_discrepancy(
-                coeffs[key], compute_coefficients_derivation(bundles[key], *key)
+                coeffs[key], compute_coefficients_derivation(bundles[key])
             )
             for key in coeffs
         )
@@ -181,10 +181,10 @@ def test_04_collision_output_orthogonal_to_invariants(criterion_report):
             vectors = gen.normal(size=(2, 3))
             amplitudes = tuple(gen.uniform(-0.4, 0.4, size=2))
             field = AlignedPerturbation(
-                4.0, 3, axis, amplitudes, vectors=vectors,
+                4.0, axis, amplitudes, vectors=vectors,
                 shift=float(gen.uniform(0.0, 0.3)),
             )
-            report = gci_orthogonality_report(field, h_sol, 4.0, 1.0)
+            report = gci_orthogonality_report(field, h_sol, 1.0)
             worst_orth = max(worst_orth, report["orthogonality"])
             worst_mass = max(worst_mass, report["mass"])
         elapsed = time.perf_counter() - t0
@@ -209,7 +209,7 @@ def test_05_correction_residual_small_and_refining(criterion_report):
     with criterion(criterion_report, 5) as log:
         residuals = {}
         for n in (64, 128, 256, 512, 1024):
-            channels = corrector_channel_residuals(inputs, solve_bundle(4.0, 3, n), 4.0)
+            channels = corrector_channel_residuals(inputs, solve_bundle(4.0, 3, n))
             residuals[n] = channels
         worst_default = max(residuals[1024].values())
         log.check(worst_default < 1e-5, f"default residual {worst_default:.2e} >= 1e-5")
@@ -299,7 +299,7 @@ def test_09_continuum_step_conservation_and_symmetries(coeffs_k4d2, criterion_re
     phi = 0.7 * np.sin(2 * np.pi * X) + 0.3 * np.cos(2 * np.pi * Y)
     u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     fields = MacroField(rho=rho, u=u, dx=1.0 / n)
-    config = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / n, dt=5e-6)
+    config = MacroConfig(coefficients=coeffs_k4d2, dt=5e-6)
 
     with criterion(criterion_report, 9) as log:
         t0 = time.perf_counter()
@@ -322,7 +322,7 @@ def test_09_continuum_step_conservation_and_symmetries(coeffs_k4d2, criterion_re
         coarse = MacroField(rho=rho[::2, ::2], u=u[::2, ::2], dx=2.0 / n)
         drifts = [
             preprojection_drift(
-                coarse, MacroConfig(coefficients=coeffs_k4d2, dx=2.0 / n, dt=dt)
+                coarse, MacroConfig(coefficients=coeffs_k4d2, dt=dt)
             )
             for dt in (2e-5, 1e-5, 5e-6)
         ]

@@ -84,6 +84,10 @@ class TestConfigParsing:
             ("[coeffs]\nkappas = ,\n", "type-mismatch", 2),
             ("[ibm]\nkernel = gaussian\n", "bad-value", 2),
             ("[kinetic]\nd = 0\n", "bad-value", 2),
+            ("[kinetic]\nT = inf\n", "bad-value", 2),
+            ("[macro]\namplitude = -inf\n", "bad-value", 2),
+            ("[ibm]\ncoarse_bandwidth = inf\n", "bad-value", 2),
+            ("[coeffs]\nkappas = 1.0, inf\n", "bad-value", 2),
         ],
     )
     def test_diagnostics_carry_code_and_line(self, text, code, line):
@@ -216,6 +220,11 @@ class TestMain:
         assert cli.main(["kinetic", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_finite_horizon_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, KINETIC_TEXT.replace("T = 0.2", "T = inf"))
+        assert cli.main(["kinetic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[bad-value]" in capsys.readouterr().err
+
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert cli.main(["kinetic", "--config", str(missing)]) == 2
@@ -340,7 +349,8 @@ class TestMain:
         text = "[macro]\nkappa = 4.0\nd = 2\ngrid_n = 16\nT = 1e-3\nwave = nan\n"
         cfg = write_cfg(tmp_path, text)
         assert cli.main(["macro", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "direction norms" in capsys.readouterr().err
+        # the parser refuses the non-finite wave before any field is built
+        assert "key 'wave' must be finite" in capsys.readouterr().err
 
     def test_validate_scaling_suite(self, tmp_path):
         cfg = write_cfg(tmp_path, "[validate]\neps = 0.2, 0.1\n")

@@ -51,8 +51,8 @@ def test_internal_identities(coeffs_k2d3, coeffs_k4d2):
 
 
 def test_two_routes_agree(bundle_k2d3):
-    thm = compute_coefficients(bundle_k2d3, 2.0, 3)
-    der = compute_coefficients_derivation(bundle_k2d3, 2.0, 3)
+    thm = compute_coefficients(bundle_k2d3)
+    der = compute_coefficients_derivation(bundle_k2d3)
     assert max_discrepancy(thm, der) < 1e-8
 
 
@@ -60,8 +60,8 @@ def test_two_routes_agree(bundle_k2d3):
 def test_coefficients_converged_at_default_resolution(kappa, d):
     """The default profile resolution n = 1024 already gives every coefficient,
     derivative-built ones included, to within 1e-9 of a four times finer solve."""
-    coarse = compute_coefficients(solve_bundle(kappa, d, 1024), kappa, d)
-    fine = compute_coefficients(solve_bundle(kappa, d, 4096), kappa, d)
+    coarse = compute_coefficients(solve_bundle(kappa, d, 1024))
+    fine = compute_coefficients(solve_bundle(kappa, d, 4096))
     assert max_discrepancy(coarse, fine) < 1e-9
 
 
@@ -76,22 +76,35 @@ def test_positive_block_and_normalizer_signs(coeffs_k2d3, coeffs_k4d2):
         assert coeffs.C0 < 0
 
 
-def test_kappa_must_be_positive(bundle_k2d3):
-    with pytest.raises(ValueError):
-        compute_coefficients(bundle_k2d3, 0.0, 3)
+ROUTES = (compute_coefficients, compute_coefficients_derivation)
+
+
+def test_kappa_must_be_positive():
+    flat = solve_bundle(0.0, 3, 64)
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="kappa > 0"):
+            route(flat)
 
 
 def test_bundle_mismatch_rejected(bundle_k2d3):
-    with pytest.raises(ValueError):
-        compute_coefficients(bundle_k2d3, 3.0, 3)  # bundle solved at kappa=2
-    incomplete = {k: v for k, v in bundle_k2d3.items() if k != "e"}
-    with pytest.raises(ValueError):
-        compute_coefficients(incomplete, 2.0, 3)
+    other_kappa, other_d = solve_bundle(3.0, 3, 64), solve_bundle(2.0, 2, 64)
+    cases = [
+        ("missing", {k: v for k, v in bundle_k2d3.items() if k != "e"}),
+        ("holds", {**bundle_k2d3, "a": bundle_k2d3["b"]}),
+        # mixed bundles: the first profile read, a later one, another d
+        ("solved at", {**bundle_k2d3, "h": other_kappa["h"]}),
+        ("solved at", {**bundle_k2d3, "k": other_kappa["k"]}),
+        ("solved at", {**bundle_k2d3, "c": other_d["c"]}),
+    ]
+    for route in ROUTES:
+        for message, bundle in cases:
+            with pytest.raises(ValueError, match=message):
+                route(bundle)
 
 
 def test_quadrature_resolution_converged(bundle_k2d3):
-    a = compute_coefficients(bundle_k2d3, 2.0, 3, n_quad=192)
-    b = compute_coefficients(bundle_k2d3, 2.0, 3, n_quad=384)
+    a = compute_coefficients(bundle_k2d3, n_quad=192)
+    b = compute_coefficients(bundle_k2d3, n_quad=384)
     assert max_discrepancy(a, b) < 1e-12
 
 

@@ -8,6 +8,7 @@ from nematic_hydro.gci.corrector import (
     transport_source,
 )
 from nematic_hydro.gci.equilibrium import make_equilibrium
+from nematic_hydro.gci.radial import solve_bundle
 from nematic_hydro.sphere import build_quadrature
 
 U3 = np.array([0.0, 0.0, 1.0])
@@ -73,18 +74,16 @@ class TestCorrectorF1:
         inputs = CorrectorInputs(
             rho=2.0, grad_rho=np.zeros(3), u=U3, grad_u=np.zeros((3, 3))
         )
-        eq = make_equilibrium(2.0, 3)
         omega = rng.standard_normal((40, 3))
         omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-        assert np.abs(corrector_f1(inputs, bundle_k2d3, eq, omega)).max() == 0.0
+        assert np.abs(corrector_f1(inputs, bundle_k2d3, omega)).max() == 0.0
 
     def test_odd_under_orientation_flip(self, bundle_k2d3, rng):
         inputs = make_inputs()
-        eq = make_equilibrium(2.0, 3)
         omega = rng.standard_normal((40, 3))
         omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-        f_plus = corrector_f1(inputs, bundle_k2d3, eq, omega)
-        f_minus = corrector_f1(inputs, bundle_k2d3, eq, -omega)
+        f_plus = corrector_f1(inputs, bundle_k2d3, omega)
+        f_minus = corrector_f1(inputs, bundle_k2d3, -omega)
         # channel profiles carry their parity at solver accuracy, not bitwise
         assert np.abs(f_plus + f_minus).max() < 1e-11
 
@@ -97,26 +96,32 @@ class TestCorrectorF1:
         r = omega @ U3
         omega_perp = omega - np.outer(r, U3)
         expected = eq.density(r) * bundle_k2d3["a"](r) * (omega_perp @ grad_rho)
-        got = corrector_f1(inputs, bundle_k2d3, eq, omega)
+        got = corrector_f1(inputs, bundle_k2d3, omega)
         assert np.abs(got - expected).max() < 1e-14
 
     def test_integrates_to_zero_mass(self, bundle_k2d3):
         inputs = make_inputs()
-        eq = make_equilibrium(2.0, 3)
         quad = build_quadrature(3, U3, 80)
-        mass = quad.integrate(corrector_f1(inputs, bundle_k2d3, eq, quad.nodes))
+        mass = quad.integrate(corrector_f1(inputs, bundle_k2d3, quad.nodes))
         assert abs(mass) < 1e-12
 
-    def test_bundle_equilibrium_consistency_enforced(self, bundle_k2d3):
+    def test_inconsistent_bundle_or_inputs_rejected(self, bundle_k2d3):
         inputs = make_inputs()
-        with pytest.raises(ValueError):
-            corrector_f1(inputs, bundle_k2d3, make_equilibrium(3.0, 3), U3)
+        incomplete = {k: v for k, v in bundle_k2d3.items() if k != "e"}
+        with pytest.raises(ValueError, match="missing"):
+            corrector_f1(inputs, incomplete, U3)
+        with pytest.raises(ValueError, match="holds"):
+            corrector_f1(inputs, {**bundle_k2d3, "a": bundle_k2d3["b"]}, U3)
+        mixed = {**bundle_k2d3, "k": solve_bundle(3.0, 3, 64)["k"]}
+        with pytest.raises(ValueError, match="solved at"):
+            corrector_f1(inputs, mixed, U3)
+        with pytest.raises(ValueError, match="dimension 2"):
+            corrector_f1(make_inputs(2), bundle_k2d3, np.array([0.6, 0.8]))
 
     def test_scalar_input_returns_scalar(self, bundle_k2d3):
         inputs = make_inputs()
-        eq = make_equilibrium(2.0, 3)
         omega = np.array([0.6, 0.0, 0.8])
-        value = corrector_f1(inputs, bundle_k2d3, eq, omega)
+        value = corrector_f1(inputs, bundle_k2d3, omega)
         assert isinstance(value, float)
 
 

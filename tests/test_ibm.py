@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from nematic_hydro import ibm
+from nematic_hydro.constants import step_count
 from nematic_hydro.ibm import (
     IbmConfig,
     ParticleState,
@@ -142,8 +143,9 @@ def test_run_argument_validation(monkeypatch):
     cfg = base_config()
     with pytest.raises(ValueError):
         run(cfg, T=0.0)
-    with pytest.raises(ValueError):
-        run(cfg, T=1.0, observe_every=0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match="observe_every"):
+            run(cfg, T=1.0, observe_every=bad)
 
 
 def test_coarse_grid_accepts_numpy_integers():
@@ -297,7 +299,7 @@ class TestCoarseGrain:
         for not_an_int in (8.0, True, "8", np.float64(8.0)):
             with pytest.raises(ValueError, match="grid_n"):
                 coarse_grain(st, not_an_int, 0.0, 1.0)
-        for bad_bandwidth in (-0.1, math.nan):
+        for bad_bandwidth in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="bandwidth"):
                 coarse_grain(st, 4, bad_bandwidth, 1.0)
 
@@ -441,3 +443,10 @@ def test_horizon_shorter_than_one_step_is_rejected():
     with pytest.raises(ValueError, match="shorter than one step"):
         run(cfg, T=0.004)
     assert len(run(cfg, T=0.006)[0]) == 2  # rounds to one step
+
+
+def test_horizon_without_a_finite_step_count_is_rejected():
+    with pytest.raises(ValueError, match="not a finite step count"):
+        run(base_config(), T=math.inf)
+    with pytest.raises(ValueError, match="not a finite step count"):
+        step_count(1e300, 1e-300)  # the quotient overflows

@@ -95,7 +95,7 @@ def test_constant_state_is_exact_fixed_point(coeffs_k4d2):
     const = MacroField(rho=rho, u=u, dx=1.0 / n)
     assert np.abs(density_rate(const, coeffs_k4d2)).max() == 0.0
     assert np.abs(direction_rhs(const, coeffs_k4d2)).max() == 0.0
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / n, dt=1e-4)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=1e-4)
     out = step(const, cfg)
     assert np.array_equal(out.rho, rho)
     assert np.array_equal(out.u, u)
@@ -110,7 +110,7 @@ def test_direction_rhs_tangent(coeffs_k4d2):
 def test_nematic_symmetry_bitwise(coeffs_k4d2):
     F = make_fields(64)
     Fm = MacroField(rho=F.rho, u=-F.u, dx=F.dx)
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 64, dt=2e-5)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=2e-5)
     a = step(F, cfg)
     b = step(Fm, cfg)
     assert np.array_equal(a.rho, b.rho)
@@ -119,7 +119,7 @@ def test_nematic_symmetry_bitwise(coeffs_k4d2):
 
 def test_mass_conserved_and_state_valid(coeffs_k4d2):
     G = make_fields(64)
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 64, dt=2e-5)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=2e-5)
     m0 = G.mass()
     for _ in range(200):
         G = step(G, cfg)
@@ -132,7 +132,7 @@ def test_mass_conserved_and_state_valid(coeffs_k4d2):
 
 def test_rotation_equivariance(coeffs_k4d2):
     F = make_fields(64)
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 64, dt=2e-5)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=2e-5)
     r_then_s = step(rotate_quarter_turn(F), cfg)
     s_then_r = rotate_quarter_turn(step(F, cfg))
     assert np.abs(r_then_s.rho - s_then_r.rho).max() < 1e-12
@@ -141,9 +141,17 @@ def test_rotation_equivariance(coeffs_k4d2):
 
 def test_cfl_violation_raised(coeffs_k4d2):
     F = make_fields(64)
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 64, dt=1e-2)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=1e-2)
     with pytest.raises(CflViolation):
         step(F, cfg)
+
+
+def test_cfl_bound_taken_at_the_field_spacing(coeffs_k4d2):
+    cfg = MacroConfig.at_cfl(coeffs_k4d2, 1.0 / 32, 0.2)
+    step(make_fields(32), cfg)
+    step(make_fields(16), cfg)  # a coarser lattice keeps dt under its bound
+    with pytest.raises(CflViolation):
+        step(make_fields(64), cfg)
 
 
 def test_density_floor_guard(coeffs_k4d2):
@@ -155,14 +163,16 @@ def test_density_floor_guard(coeffs_k4d2):
 
 def test_config_validation(coeffs_k4d2):
     with pytest.raises(ValueError):
-        MacroConfig(coefficients=coeffs_k4d2, dx=0.1, dt=0.0)
+        MacroConfig(coefficients=coeffs_k4d2, dt=0.0)
     with pytest.raises(ValueError):
-        MacroConfig(coefficients=coeffs_k4d2, dx=0.1, dt=1e-5, cfl_safety=0.0)
+        MacroConfig(coefficients=coeffs_k4d2, dt=1e-5, cfl_safety=0.0)
+    with pytest.raises(ValueError):
+        MacroConfig.at_cfl(coeffs_k4d2, 0.0, 0.2)
 
 
 def test_field_dimension_must_match_coefficients(coeffs_k2d3):
     F = make_fields(16)
-    cfg = MacroConfig(coefficients=coeffs_k2d3, dx=F.dx, dt=1e-7)
+    cfg = MacroConfig(coefficients=coeffs_k2d3, dt=1e-7)
     with pytest.raises(ValueError, match="dimension"):
         step(F, cfg)
 
@@ -173,7 +183,7 @@ def test_at_cfl_step_sits_on_the_bound(coeffs_k4d2):
     c_max = max(coeffs_k4d2.positive_block().values())
     assert cfg.dt == 0.2 * F.dx**2 / c_max and cfg.cfl_safety == 0.2
     step(F, cfg)
-    above = MacroConfig(coeffs_k4d2, F.dx, np.nextafter(cfg.dt, np.inf), 0.2)
+    above = MacroConfig(coeffs_k4d2, np.nextafter(cfg.dt, np.inf), 0.2)
     with pytest.raises(CflViolation):
         step(F, above)
 
@@ -182,7 +192,7 @@ def test_preprojection_drift_second_order(coeffs_k4d2):
     F = make_fields(64)
     drifts = []
     for dt in (2e-5, 1e-5, 5e-6):
-        cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 64, dt=dt)
+        cfg = MacroConfig(coefficients=coeffs_k4d2, dt=dt)
         drifts.append(preprojection_drift(F, cfg))
     slopes = [np.log2(drifts[i] / drifts[i + 1]) for i in range(2)]
     assert all(1.7 < s < 2.3 for s in slopes), slopes
@@ -265,7 +275,7 @@ def test_ddx_matches_rolled_difference(shape):
 
 def test_results_are_not_overwritten_by_later_calls(coeffs_k4d2):
     F, other = make_fields(32), make_fields(32, amp=0.1)
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 32, dt=1e-5)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=1e-5)
     results = [density_rate(F, coeffs_k4d2), direction_rhs(F, coeffs_k4d2)]
     stepped = step(F, cfg)
     results += [stepped.rho, stepped.u]
@@ -292,7 +302,7 @@ def test_component_major_input_steps_bitwise_like_c_stacked(coeffs_k4d2):
     F = make_fields(32)
     major = np.moveaxis(np.ascontiguousarray(np.moveaxis(F.u, -1, 0)), 0, -1)
     assert major[..., 0].flags.c_contiguous and not F.u[..., 0].flags.c_contiguous
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=F.dx, dt=1e-5)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=1e-5)
     a, b = step(F, cfg), step(MacroField(rho=F.rho, u=major, dx=F.dx), cfg)
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
     assert a.u[..., 1].flags.c_contiguous  # the stepper returns u component-major
@@ -301,7 +311,7 @@ def test_component_major_input_steps_bitwise_like_c_stacked(coeffs_k4d2):
 
 
 def test_snapshot_bytes_independent_of_direction_layout(coeffs_k4d2, tmp_path):
-    cfg = MacroConfig(coefficients=coeffs_k4d2, dx=1.0 / 16, dt=1e-5)
+    cfg = MacroConfig(coefficients=coeffs_k4d2, dt=1e-5)
     stepped = step(make_fields(16), cfg)
     c_order = MacroField(
         rho=stepped.rho.copy(), u=np.ascontiguousarray(stepped.u), dx=stepped.dx, time=stepped.time

@@ -53,7 +53,7 @@ class TestOrthogonality:
     def test_collision_operator_vanishes_on_equilibrium(self):
         axis = np.array([0.3, -0.5, 0.8])
         axis /= np.linalg.norm(axis)
-        field = AlignedPerturbation(kappa=2.0, d=3, axis=axis)
+        field = AlignedPerturbation(kappa=2.0, axis=axis)
         quad = build_quadrature(3, axis, 60)
         gamma = field.collision_values(quad.nodes, axis, 2.0, 1.0)
         assert np.abs(gamma).max() < 1e-12
@@ -65,34 +65,41 @@ class TestOrthogonality:
             v /= np.linalg.norm(v)
             w = rng.standard_normal((2, 3))
             field = AlignedPerturbation(
-                kappa=2.0, d=3, axis=v, amplitudes=(0.4, -0.2), vectors=w, shift=0.3
+                kappa=2.0, axis=v, amplitudes=(0.4, -0.2), vectors=w, shift=0.3
             )
-            rep = gci_orthogonality_report(field, bundle_k2d3["h"], 2.0, 1.0)
+            rep = gci_orthogonality_report(field, bundle_k2d3["h"], 1.0)
             worst_orth = max(worst_orth, rep["orthogonality"])
             worst_mass = max(worst_mass, rep["mass"])
         assert worst_orth < 1e-6
         assert worst_mass < 1e-10
 
     def test_check_requires_matching_profile(self, bundle_k2d3):
-        field = AlignedPerturbation(kappa=2.0, d=3, axis=U3)
-        with pytest.raises(ValueError):
-            gci_orthogonality_report(field, bundle_k2d3["a"], 2.0, 1.0)
-        with pytest.raises(ValueError):
-            gci_orthogonality_report(field, bundle_k2d3["h"], 3.0, 1.0)
+        field = AlignedPerturbation(kappa=2.0, axis=U3)
+        with pytest.raises(ValueError, match="needs the h profile"):
+            gci_orthogonality_report(field, bundle_k2d3["a"], 1.0)
+        for kappa, axis in ((7.0, U3), (2.0, np.array([0.0, 1.0]))):
+            with pytest.raises(ValueError, match="disagree"):
+                gci_orthogonality_report(
+                    AlignedPerturbation(kappa=kappa, axis=axis), bundle_k2d3["h"], 1.0
+                )
 
     def test_perturbation_validates_inputs(self):
         with pytest.raises(ValueError):
-            AlignedPerturbation(kappa=2.0, d=3, axis=2 * U3)
+            AlignedPerturbation(kappa=2.0, axis=2 * U3)
         with pytest.raises(ValueError):
             AlignedPerturbation(
-                kappa=2.0, d=3, axis=U3, amplitudes=(0.1, 0.2), vectors=np.eye(3)[:1]
+                kappa=2.0, axis=U3, amplitudes=(0.1, 0.2), vectors=np.eye(3)[:1]
             )
+
+    def test_perturbation_dimension_is_the_axis_dimension(self):
+        assert AlignedPerturbation(kappa=2.0, axis=U3).d == 3
+        assert AlignedPerturbation(kappa=2.0, axis=np.array([0.6, 0.8])).d == 2
 
     def test_check_returns_orthogonality_scalar(self, bundle_k2d3):
         field = AlignedPerturbation(
-            kappa=2.0, d=3, axis=U3, amplitudes=(0.5,), vectors=np.eye(3)[:1], shift=0.2
+            kappa=2.0, axis=U3, amplitudes=(0.5,), vectors=np.eye(3)[:1], shift=0.2
         )
-        rep = gci_orthogonality_report(field, bundle_k2d3["h"], 2.0, 1.0)
+        rep = gci_orthogonality_report(field, bundle_k2d3["h"], 1.0)
         assert 0.0 <= rep["orthogonality"] < 1e-6
         assert rep["mass"] <= 1e-8
 
@@ -102,13 +109,13 @@ class TestCorrectorResidual:
         zero = CorrectorInputs(
             rho=1.3, grad_rho=np.zeros(3), u=U3, grad_u=np.zeros((3, 3))
         )
-        assert max(corrector_channel_residuals(zero, bundle_k2d3, 2.0).values()) == 0.0
+        assert max(corrector_channel_residuals(zero, bundle_k2d3).values()) == 0.0
 
     def test_transverse_density_gradient_isolates_one_channel(self, bundle_k2d3):
         inputs = CorrectorInputs(
             rho=1.3, grad_rho=np.array([0.7, -0.2, 0.0]), u=U3, grad_u=np.zeros((3, 3))
         )
-        per = corrector_channel_residuals(inputs, bundle_k2d3, 2.0)
+        per = corrector_channel_residuals(inputs, bundle_k2d3)
         assert set(per) == {
             "density_gradient",
             "curvature",
@@ -125,12 +132,26 @@ class TestCorrectorResidual:
             rho=0.8, grad_rho=np.array([0.4, -0.3, 0.6]), u=U3, grad_u=gu
         )
         coarse = solve_bundle(2.0, 3, 256)
-        r_coarse = max(corrector_channel_residuals(inputs, coarse, 2.0).values())
-        r_fine = max(corrector_channel_residuals(inputs, bundle_k2d3, 2.0).values())
+        r_coarse = max(corrector_channel_residuals(inputs, coarse).values())
+        r_fine = max(corrector_channel_residuals(inputs, bundle_k2d3).values())
         assert r_fine < 1e-5
         # near the 1e-10 floor quadrature error dilutes the clean profile
         # convergence order, so only a solid decrease is required
         assert r_coarse / r_fine > 2.0
+
+    def test_bundle_must_match_the_inputs(self, bundle_k2d3):
+        planar = CorrectorInputs(
+            rho=1.3, grad_rho=np.array([0.7, -0.2]), u=np.array([0.0, 1.0]),
+            grad_u=np.zeros((2, 2)),
+        )
+        with pytest.raises(ValueError, match="dimension 2"):
+            corrector_channel_residuals(planar, bundle_k2d3)
+        spatial = CorrectorInputs(
+            rho=1.3, grad_rho=np.array([0.7, -0.2, 0.0]), u=U3, grad_u=np.zeros((3, 3))
+        )
+        mixed = {**bundle_k2d3, "a": solve_bundle(5.0, 3, 64)["a"]}
+        with pytest.raises(ValueError, match="solved at"):
+            corrector_channel_residuals(spatial, mixed)
 
 
 class TestEquilibriumStatistics:
