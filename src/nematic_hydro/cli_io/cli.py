@@ -209,9 +209,9 @@ _SuiteResult = tuple[dict, list[str], "np.ndarray | list[list]"]
 
 
 def _validate_scaling(p: dict) -> _SuiteResult:
-    f = rotating_equilibrium_family(p["kappa"], 2)
-    report = eps_expansion_study(f, p["eps"], d=2)
-    control = eps_expansion_study(f, [e / 2 for e in p["eps"]], d=2, asymmetry=0.5)
+    f = rotating_equilibrium_family(p["kappa"])
+    report = eps_expansion_study(f, p["eps"])
+    control = eps_expansion_study(f, [e / 2 for e in p["eps"]], asymmetry=0.5)
     return {
         "slope": report.slope,
         "asymmetric_control_slope": control.slope,

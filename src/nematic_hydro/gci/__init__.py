@@ -6,7 +6,6 @@ from .radial import (
     ALL_KINDS,
     RadialSolution,
     solve_bundle,
-    solve_profile,
     strong_residual,
 )
 from .coefficients import (
@@ -32,7 +31,6 @@ __all__ = [
     "make_equilibrium",
     "max_discrepancy",
     "solve_bundle",
-    "solve_profile",
     "strong_residual",
     "transport_source",
 ]

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
+from .equilibrium import make_equilibrium
 from .radial import ALL_KINDS, RadialSolution, _bundle_parameters
 
 COEFFICIENT_NAMES = (
@@ -185,17 +185,11 @@ def compute_coefficients(
 
 
 def compute_coefficients_derivation(bundle: dict[str, RadialSolution]) -> CoefficientSet:
-    """Building-block route at the bundle's (kappa, d), on Gauss-Jacobi((d-3)/2) nodes in r."""
+    """Building-block route at the bundle's (kappa, d), on the aligned equilibrium's rule in r."""
     kappa, d = _coefficient_parameters(bundle)
-    alpha = (d - 3) / 2.0
-    rj, wj = roots_jacobi(DEFAULT_N_QUAD, alpha, alpha)
+    eq = make_equilibrium(kappa, d)
+    avg, rj = eq.average, eq.nodes
     h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, rj)
-    E = np.exp(0.5 * kappa * rj**2)
-    Z = float((wj * E).sum())
-
-    def avg(f: np.ndarray) -> float:
-        """Sphere average against the aligned equilibrium."""
-        return float((wj * E * f).sum()) / Z
 
     s2 = 1.0 - rj**2
     dm1, dp1 = d - 1.0, d + 1.0

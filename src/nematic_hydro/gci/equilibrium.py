@@ -1,7 +1,7 @@
 """Aligned angular equilibrium M_u(omega) = exp((kappa/2)(omega.u)^2) / Z."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -12,21 +12,38 @@ from ..sphere import angle_weight_norm
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Normalized aligned equilibrium on S^{d-1}.
+    """Normalized aligned equilibrium on S^{d-1}, with its quadrature in r = omega.u.
 
     Z is the normalization against the normalized sphere measure, so the
     density integrates to exactly 1; it depends on omega only through
     (omega.u)^2, hence is invariant under omega -> -omega and under the sign
-    choice of the axis u.
+    choice of the axis u.  nodes and weights are the Gauss-Jacobi rule in r
+    behind Z, the weights already multiplied by exp((kappa/2) r^2); average
+    integrates functions of r against M with them.
     """
 
     kappa: float
     d: int
     Z: float
+    nodes: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
 
     def density(self, r: np.ndarray) -> np.ndarray:
         """M as a function of r = omega.u."""
         return np.exp(0.5 * self.kappa * np.asarray(r, dtype=float) ** 2) / self.Z
+
+    def average(self, values_at_nodes: np.ndarray) -> float:
+        """Sphere average against M of a function of r, given at the nodes."""
+        return float((self.weights * values_at_nodes).sum()) / float(self.weights.sum())
+
+    def q_eigenvalues(self) -> tuple[float, float]:
+        """Eigenvalues of the Q-tensor of M: along u, and transverse to it.
+
+        lambda_par = <r^2>_M - 1/d; the transverse value is -lambda_par/(d-1)
+        by tracelessness, returned exactly in that form.
+        """
+        lam_par = self.average(self.nodes**2) - 1.0 / self.d
+        return lam_par, -lam_par / (self.d - 1)
 
 
 _N_QUAD = 256
@@ -40,7 +57,8 @@ def make_equilibrium(kappa: float, d: int) -> Equilibrium:
     The radial rule is exact for the (1-r^2)^{(d-3)/2} measure; the Jacobi
     weights sum to the unnormalized measure, so dividing by W_{d-2} gives the
     normalized Z.  kappa = 0 yields Z = 1 and the uniform density.  Results
-    are cached per argument tuple; Equilibrium is frozen, so sharing is safe.
+    are cached per argument tuple; Equilibrium is frozen and its arrays are
+    read-only, so sharing is safe.
     """
     if kappa < 0:
         raise ValueError("kappa >= 0 required")
@@ -48,5 +66,8 @@ def make_equilibrium(kappa: float, d: int) -> Equilibrium:
         raise ValueError("d >= 2 required")
     alpha = (d - 3) / 2.0
     r, w = roots_jacobi(_N_QUAD, alpha, alpha)
-    Z = float(w @ np.exp(0.5 * kappa * r**2)) / angle_weight_norm(d - 2)
-    return Equilibrium(kappa=float(kappa), d=int(d), Z=Z)
+    E = np.exp(0.5 * kappa * r**2)
+    Z = float(w @ E) / angle_weight_norm(d - 2)
+    weights = w * E
+    r.flags.writeable = weights.flags.writeable = False
+    return Equilibrium(kappa=float(kappa), d=int(d), Z=Z, nodes=r, weights=weights)

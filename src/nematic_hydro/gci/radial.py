@@ -232,18 +232,6 @@ def _validate_problem(kappa: float, d: int, n: int) -> None:
         raise ValueError("n must be even so that r = 0 is an element vertex")
 
 
-def solve_profile(kind: str, kappa: float, d: int, n: int) -> RadialSolution:
-    """Solve one of the six profiles h, a, b, c, e, k on n elements.
-
-    Kind 'k' first solves the e profile its load is built from.
-    """
-    if kind not in _PROBLEMS:
-        raise ValueError(f"kind {kind!r} not one of {ALL_KINDS}")
-    _validate_problem(kappa, d, n)
-    e = _make_profile("e", kappa, d, n, None) if kind == "k" else None
-    return _make_profile(kind, kappa, d, n, e)
-
-
 def solve_bundle(kappa: float, d: int, n: int) -> dict[str, RadialSolution]:
     """All six profiles at shared (kappa, d, n); k is built on the bundle's e."""
     _validate_problem(kappa, d, n)

@@ -35,10 +35,11 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constants import GAP_FLOOR, step_count
+from .constants import step_count
 from .qtensor import (
     DegenerateLeadingEigenvalue,
     leading_direction,
+    leading_directions,
     qtensor_from_orientations,
 )
 
@@ -287,37 +288,29 @@ def _local_moments(
     return moments, wsum
 
 
-def _leading_batch(qtensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenvectors of a batch of small symmetric matrices.
-
-    The directions come back as (batch, d) component columns.  Rows whose
-    spectral gap falls below GAP_FLOOR are zeroed and flagged False; the
-    alignment drift vanishes for them automatically because it is bilinear
-    in the returned direction.
-    """
-    lam, vec = np.linalg.eigh(qtensors)
-    gap = lam[..., -1] - lam[..., -2]
-    ok = gap >= GAP_FLOOR
-    dirs = np.asfortranarray(vec[..., :, -1])
-    dirs[~ok] = 0.0
-    return dirs, ok
-
-
 def _mean_directions(
     positions: np.ndarray, orientations: np.ndarray, config: IbmConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local mean nematic direction of every particle, for the local kernels."""
+    """Local mean nematic direction of every particle, for the local kernels.
+
+    The directions come back as (N, d) component columns.  Rows whose
+    spectral gap falls below GAP_FLOOR are zeroed and flagged False; the
+    alignment drift vanishes for them because it is bilinear in the
+    direction.
+    """
     d = orientations.shape[1]
     moments, wsum = _local_moments(positions, orientations, config)
-    Q = moments / wsum[:, None, None] - np.eye(d) / d
-    return _leading_batch(Q)
+    _, vec, ok = leading_directions(moments / wsum[:, None, None] - np.eye(d) / d)
+    dirs = np.asfortranarray(vec)
+    dirs[~ok] = 0.0
+    return dirs, ok
 
 
 def _global_direction(orientations: np.ndarray) -> np.ndarray:
     """The one mean nematic direction of the whole box, as a d-vector.
 
     A degenerate Q-tensor gives the zero vector, and with it no drift, as
-    for the zeroed rows of _leading_batch.
+    for the zeroed rows of _mean_directions.
     """
     try:
         return leading_direction(qtensor_from_orientations(orientations)).direction
@@ -427,7 +420,7 @@ def initial_state(config: IbmConfig) -> ParticleState:
 
 def _observe(state: ParticleState) -> Observation:
     Q = qtensor_from_orientations(state.orientations)
-    return Observation(state.time, Q, float(np.linalg.eigvalsh(Q)[-1]))
+    return Observation(state.time, Q, float(leading_directions(Q)[0]))
 
 
 def run(
@@ -496,9 +489,8 @@ def coarse_grain(
     u_hat = np.full((grid_n**d, d), np.nan)
     if occupied.any():
         Q = moments[occupied] / counts[occupied, None, None] - np.eye(d) / d
-        dirs, ok = _leading_batch(Q)
-        dirs[~ok] = np.nan
-        u_hat[occupied] = dirs
+        _, dirs, ok = leading_directions(Q)
+        u_hat[occupied] = np.where(ok[:, None], dirs, np.nan)
     return rho_hat, u_hat.reshape(shape + (d,))
 
 

@@ -1,4 +1,4 @@
-"""Q-tensors, leading nematic directions, and aligned-equilibrium eigenvalues.
+"""Q-tensors and their leading nematic directions.
 
 The Q-tensor of a set of orientations is the symmetric traceless second
 moment <omega (x) omega> - Id/d.  Its leading unit eigenvector is the mean
@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .constants import GAP_FLOOR
 
@@ -47,6 +46,17 @@ def qtensor_from_orientations(
     return second - np.eye(d) / d
 
 
+def leading_directions(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading eigenvalues, unit eigenvectors and gap flags of a batch (..., d, d).
+
+    One symmetric eigensolve for the whole batch.  Returns the leading
+    eigenvalues (...), the leading eigenvectors (..., d) with the solver's
+    signs, and ok (...), True where the spectral gap reaches GAP_FLOOR.
+    """
+    lam, vec = np.linalg.eigh(Q)
+    return lam[..., -1], vec[..., :, -1], lam[..., -1] - lam[..., -2] >= GAP_FLOOR
+
+
 def leading_direction(Q: np.ndarray) -> SpectralInfo:
     """Leading unit eigenvector of Q with a deterministic sign convention.
 
@@ -55,31 +65,13 @@ def leading_direction(Q: np.ndarray) -> SpectralInfo:
     callers choose their own fallback (the particle stepper drops the
     alignment drift for that particle and step).
     """
-    lam, V = np.linalg.eigh(np.asarray(Q, dtype=float))
-    gap = float(lam[-1] - lam[-2])
-    if gap < GAP_FLOOR:
+    lam, v, ok = leading_directions(np.asarray(Q, dtype=float))
+    if not ok:
         raise DegenerateLeadingEigenvalue(
-            f"leading eigenvalue gap {gap:.3e} below floor {GAP_FLOOR:.3e}"
+            f"leading eigenvalue gap below floor {GAP_FLOOR:.3e}"
         )
-    v = V[:, -1]
     nz = np.nonzero(np.abs(v) > 1e-14)[0]
     if nz.size and v[nz[0]] < 0.0:
         v = -v
     v = v / np.linalg.norm(v)
-    return SpectralInfo(direction=v, leading_eigenvalue=float(lam[-1]))
-
-
-def equilibrium_eigenvalues(kappa: float, d: int) -> tuple[float, float]:
-    """Eigenvalues of the Q-tensor of the aligned equilibrium density.
-
-    lambda_par = int M_u (omega.u)^2 d(omega) - 1/d along u, computed by a
-    Gauss rule exact for the (1-r^2)^{(d-3)/2} measure; the transverse value
-    is -lambda_par/(d-1) by tracelessness, returned exactly in that form.
-    """
-    if kappa < 0:
-        raise ValueError("kappa >= 0 required")
-    r, w = roots_jacobi(64, (d - 3) / 2.0, (d - 3) / 2.0)
-    mw = w * np.exp(0.5 * kappa * r**2)
-    second = float((mw @ r**2) / mw.sum())
-    lam_par = second - 1.0 / d
-    return lam_par, -lam_par / (d - 1)
+    return SpectralInfo(direction=v, leading_eigenvalue=float(lam))

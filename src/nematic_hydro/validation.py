@@ -93,8 +93,8 @@ def _ball_quadrature(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes.reshape(-1, d), w.reshape(-1), dirs.reshape(-1, d)
 
 
-_SCALING_PROBES = np.array([[0.31, 0.57, 0.44], [0.72, 0.22, 0.81], [0.11, 0.86, 0.29]])
-"""Spatial points of the expansion study; the first d columns are used."""
+_SCALING_PROBES = np.array([[0.31, 0.57], [0.72, 0.22], [0.11, 0.86]])
+"""Spatial points of the expansion study, in the plane."""
 # resolutions of the study: radial and surface nodes of the ball, sphere nodes
 _SCALING_N_RADIAL = 24
 _SCALING_N_SURFACE = 48
@@ -105,10 +105,9 @@ def eps_expansion_study(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     eps_values: Sequence[float],
     *,
-    d: int = 2,
     asymmetry: float = 0.0,
 ) -> ScalingReport:
-    """Error of the kernel-averaged Q-tensor against the local one vs eps.
+    """Error of the kernel-averaged Q-tensor against the local one vs eps, in 2-D.
 
     f(x, omega_nodes) returns the angular density at spatial point x on the
     given orientation nodes; it must be smooth and 1-periodic in each spatial
@@ -124,8 +123,7 @@ def eps_expansion_study(
     eps_arr = np.asarray(sorted(eps_values, reverse=True), dtype=float)
     if eps_arr.size < 2:
         raise ValueError("at least two eps values are required to fit a slope")
-    probes = _SCALING_PROBES[:, :d]
-
+    d = 2
     axis = np.zeros(d)
     axis[-1] = 1.0
     quad = build_quadrature(d, axis, _SCALING_N_SPHERE)
@@ -142,7 +140,7 @@ def eps_expansion_study(
     errors = np.empty(eps_arr.size)
     for ie, eps in enumerate(eps_arr):
         worst = 0.0
-        for x0 in probes:
+        for x0 in _SCALING_PROBES:
             q_local = q_of(x0)
             q_avg = np.zeros_like(q_local)
             for wq, node in zip(weights, xi):
@@ -156,23 +154,19 @@ def eps_expansion_study(
     return ScalingReport(eps_values=eps_arr, errors=errors, slope=slope)
 
 
-def rotating_equilibrium_family(
-    kappa: float, d: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Synthetic smooth phase-space density for the expansion study.
+def rotating_equilibrium_family(kappa: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Synthetic smooth 2-D phase-space density for the expansion study.
 
-    rho(x) = 1 + 0.5 sin(2 pi x_1); the alignment axis rotates in the
-    (e_1, e_2) plane by 0.3 sin(2 pi x_1) radians.
+    rho(x) = 1 + 0.5 sin(2 pi x_1); the alignment axis turns by
+    0.3 sin(2 pi x_1) radians.
     """
-    eq = make_equilibrium(kappa, d)
+    eq = make_equilibrium(kappa, 2)
 
     def f(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         phase = 2.0 * math.pi * float(x[0])
         rho = 1.0 + 0.5 * math.sin(phase)
         alpha = 0.3 * math.sin(phase)
-        u = np.zeros(d)
-        u[0] = math.cos(alpha)
-        u[1] = math.sin(alpha)
+        u = np.array([math.cos(alpha), math.sin(alpha)])
         return rho * eq.density(nodes @ u)
 
     return f
@@ -204,7 +198,11 @@ class AlignedPerturbation:
             vecs = np.zeros((0, self.d))
         else:
             vecs = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+            if vecs.shape[1] != self.d:
+                raise ValueError(f"vectors must have the axis dimension {self.d}")
             norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+            if not np.all(norms > 0.0):
+                raise ValueError("vectors must have nonzero norms")
             vecs = vecs / norms
         if len(self.amplitudes) != vecs.shape[0]:
             raise ValueError("one unit vector per amplitude is required")

@@ -20,6 +20,7 @@ from nematic_hydro.gci.coefficients import (
     max_discrepancy,
 )
 from nematic_hydro.gci.corrector import CorrectorInputs
+from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.gci.radial import strong_residual
 from nematic_hydro.ibm import IbmConfig
 from nematic_hydro.kinetic import bump_density, cell_measures, evolve, relaxation_series
@@ -32,7 +33,6 @@ from nematic_hydro.macro import (
     rotate_quarter_turn,
     step,
 )
-from nematic_hydro.qtensor import equilibrium_eigenvalues
 from nematic_hydro.validation import (
     AlignedPerturbation,
     corrector_channel_residuals,
@@ -266,7 +266,7 @@ def test_07_direction_diffusion_eigenvalue_signs(criterion_report):
         worst_pair = 0.0
         for kappa in (0.1, 1.0, 10.0):
             for d in (2, 3, 4):
-                lam_par, lam_perp = equilibrium_eigenvalues(kappa, d)
+                lam_par, lam_perp = make_equilibrium(kappa, d).q_eigenvalues()
                 min_par = min(min_par, lam_par)
                 worst_pair = max(worst_pair, abs(lam_perp + lam_par / (d - 1)))
         log.check(min_par > 0.0, f"parallel eigenvalue reaches {min_par:.2e} <= 0")
@@ -279,8 +279,8 @@ def test_07_direction_diffusion_eigenvalue_signs(criterion_report):
 def test_08_kernel_localization_quadratic_scaling(criterion_report):
     with criterion(criterion_report, 8) as log:
         t0 = time.perf_counter()
-        family = rotating_equilibrium_family(4.0, 2)
-        study = eps_expansion_study(family, [0.2, 0.1, 0.05, 0.025], d=2)
+        family = rotating_equilibrium_family(4.0)
+        study = eps_expansion_study(family, [0.2, 0.1, 0.05, 0.025])
         elapsed = time.perf_counter() - t0
         log.check(1.8 <= study.slope <= 2.2, f"fitted slope {study.slope:.3f} outside [1.8, 2.2]")
         log.check(

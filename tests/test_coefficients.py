@@ -123,6 +123,13 @@ def test_equilibrium_density_normalized(d):
     assert abs(mass - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kappa", [0.0, 1.7, 10.0])
+def test_equilibrium_average_of_ones_is_one(kappa, d):
+    eq = make_equilibrium(kappa, d)
+    assert abs(eq.average(np.ones_like(eq.nodes)) - 1.0) < 1e-15
+
+
 def test_equilibrium_flat_at_zero_coupling():
     eq = make_equilibrium(0.0, 3)
     r = np.linspace(-1, 1, 9)

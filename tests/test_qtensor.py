@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.qtensor import (
     DegenerateLeadingEigenvalue,
-    equilibrium_eigenvalues,
     leading_direction,
+    leading_directions,
     qtensor_from_orientations,
 )
 
@@ -85,16 +86,33 @@ def test_degenerate_spectrum_raises():
         leading_direction(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_leading_directions_flag_degenerate_row_and_match_single_solve(rng, d):
+    batch = np.stack(
+        [qtensor_from_orientations(random_orientations(rng, 50, d)) for _ in range(5)]
+    )
+    batch[2] = 0.0
+    lam, dirs, ok = leading_directions(batch)
+    assert lam.shape == ok.shape == (5,) and dirs.shape == (5, d)
+    assert ok.tolist() == [True, True, False, True, True]
+    for q, lam_i, dir_i, ok_i in zip(batch, lam, dirs, ok):
+        if not ok_i:
+            continue
+        info = leading_direction(q)
+        assert info.leading_eigenvalue == lam_i
+        assert abs(abs(info.direction @ dir_i) - 1.0) < 1e-14
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0])
 def test_equilibrium_eigenvalue_pair(kappa, d):
-    lam_par, lam_perp = equilibrium_eigenvalues(kappa, d)
+    lam_par, lam_perp = make_equilibrium(kappa, d).q_eigenvalues()
     assert lam_par > 0
     assert abs(lam_perp + lam_par / (d - 1)) < 1e-12
 
 
 def test_equilibrium_eigenvalues_frozen_values():
-    lam_par, _ = equilibrium_eigenvalues(4.0, 2)
+    lam_par, _ = make_equilibrium(4.0, 2).q_eigenvalues()
     assert abs(lam_par - 2.231949829483e-01) < 1e-11
-    lam_par, _ = equilibrium_eigenvalues(2.0, 3)
+    lam_par, _ = make_equilibrium(2.0, 3).q_eigenvalues()
     assert abs(lam_par - 9.589737249442e-02) < 1e-11

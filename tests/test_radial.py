@@ -8,7 +8,6 @@ from nematic_hydro.gci import radial
 from nematic_hydro.gci.radial import (
     ALL_KINDS,
     solve_bundle,
-    solve_profile,
     strong_defect,
     strong_residual,
 )
@@ -126,7 +125,7 @@ def test_derivative_consistent_with_values(bundle_k2d3):
 
 
 def test_slope_spline_built_on_first_derivative_call():
-    sol = solve_profile("h", 2.0, 3, 64)
+    sol = solve_bundle(2.0, 3, 64)["h"]
     r = np.linspace(-0.8, 0.8, 17)
     sol(r)
     assert "_slope_spline" not in vars(sol)
@@ -142,22 +141,6 @@ def test_solution_metadata(bundle_k2d3):
         assert sol.kappa == 2.0 and sol.d == 3 and sol.n == 1024
 
 
-def test_individual_solvers_match_bundle(bundle_k2d3):
-    h = solve_profile("h", 2.0, 3, 1024)
-    c = solve_profile("c", 2.0, 3, 1024)
-    k = solve_profile("k", 2.0, 3, 1024)
-    r = np.linspace(-0.9, 0.9, 11)
-    assert np.abs(h(r) - bundle_k2d3["h"](r)).max() == 0.0
-    assert np.abs(c(r) - bundle_k2d3["c"](r)).max() == 0.0
-    assert np.abs(k(r) - bundle_k2d3["k"](r)).max() == 0.0
-    assert h != bundle_k2d3["h"]  # solutions compare by identity, not by their arrays
-
-
-def test_profile_kind_and_coupling_validated():
-    with pytest.raises(ValueError, match="not one of"):
-        solve_profile("z", 2.0, 3, 1024)
-
-
 def test_defect_is_pointwise_and_interior(bundle_k2d3):
     rr, defect = strong_defect(bundle_k2d3["a"])
     assert rr.min() >= -0.95 and rr.max() <= 0.95
@@ -168,9 +151,7 @@ def test_defect_is_pointwise_and_interior(bundle_k2d3):
 def test_odd_resolution_rejected():
     """r = 0 must be an element vertex for the half-interval solve."""
     with pytest.raises(ValueError, match="even"):
-        solve_profile("a", 2.0, 3, 1025)
-    with pytest.raises(ValueError, match="even"):
-        solve_profile("c", 2.0, 3, 1025)
+        solve_bundle(2.0, 3, 1025)
 
 
 @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
@@ -201,5 +182,6 @@ def test_bundle_independent_of_quadrature_cache():
         grid = cold[kind].grid
         assert np.array_equal(cold[kind].values, warm[kind].values)
         assert np.array_equal(cold[kind].derivative(grid), warm[kind].derivative(grid))
+    assert cold["h"] != warm["h"]  # solutions compare by identity, not by their arrays
     cached = radial._element_quadrature(256)
     assert all(not a.flags.writeable for a in cached)

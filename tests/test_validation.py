@@ -26,27 +26,27 @@ class TestEpsExpansionStudy:
         def f(x, nodes):
             return np.exp((nodes @ axis) ** 2)
 
-        rep = eps_expansion_study(f, [0.2, 0.1], d=2)
+        rep = eps_expansion_study(f, [0.2, 0.1])
         assert rep.errors.max() < 1e-14
         assert np.isnan(rep.slope)
 
     def test_rotating_family_expands_at_second_order(self):
-        f = rotating_equilibrium_family(2.0, 2)
-        rep = eps_expansion_study(f, [0.2, 0.1, 0.05, 0.025], d=2)
+        f = rotating_equilibrium_family(2.0)
+        rep = eps_expansion_study(f, [0.2, 0.1, 0.05, 0.025])
         assert 1.8 <= rep.slope <= 2.2
         assert np.all(np.diff(rep.errors) < 0)
 
     def test_asymmetric_kernel_degrades_to_first_order(self):
-        f = rotating_equilibrium_family(2.0, 2)
+        f = rotating_equilibrium_family(2.0)
         rep = eps_expansion_study(
-            f, [0.1, 0.05, 0.025, 0.0125], d=2, asymmetry=0.5
+            f, [0.1, 0.05, 0.025, 0.0125], asymmetry=0.5
         )
         assert 0.8 <= rep.slope <= 1.2
 
     def test_needs_two_eps_values(self):
-        f = rotating_equilibrium_family(2.0, 2)
+        f = rotating_equilibrium_family(2.0)
         with pytest.raises(ValueError):
-            eps_expansion_study(f, [0.1], d=2)
+            eps_expansion_study(f, [0.1])
 
 
 class TestOrthogonality:
@@ -89,6 +89,14 @@ class TestOrthogonality:
         with pytest.raises(ValueError):
             AlignedPerturbation(
                 kappa=2.0, axis=U3, amplitudes=(0.1, 0.2), vectors=np.eye(3)[:1]
+            )
+
+    def test_perturbation_rejects_zero_and_misdimensioned_vectors(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            AlignedPerturbation(kappa=2.0, axis=U3, amplitudes=(0.3,), vectors=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="dimension"):
+            AlignedPerturbation(
+                kappa=2.0, axis=U3, amplitudes=(0.3,), vectors=np.array([[0.6, 0.8]])
             )
 
     def test_perturbation_dimension_is_the_axis_dimension(self):

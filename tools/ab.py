@@ -192,7 +192,9 @@ def main() -> int:
         for w in workloads for m in end_to_end
     ]
     claimed = next((v for v in verdicts if claim == (v["workload"], v["metric"])), None)
-    changed = git("diff", "--name-only", base, change, "--", "src").split()
+    # a path deleted on the change side has no blob there to name
+    changed = git("diff", "--name-only", "--diff-filter=d", base, change, "--", "src").split()
+    deleted = git("diff", "--name-only", "--diff-filter=D", base, change, "--", "src").split()
     report = {
         "what": (
             "Alternating A/B runs of the unchanged bench/run.py (--trace 0, default 20 s "
@@ -206,7 +208,8 @@ def main() -> int:
             "parent": base,
             "change": (f"the working tree on {head}, as git stash create {snapshot} records it"
                        if snapshot else head),
-            "change_source_blobs": {p: git("rev-parse", f"{change}:{p}") for p in changed},
+            "change_source_blobs": {**{p: git("rev-parse", f"{change}:{p}") for p in changed},
+                                    **{p: "deleted" for p in deleted}},
             "parent_tree": "exported with git archive of the parent commit into a separate "
                            "directory",
         },
