@@ -27,6 +27,7 @@ identity is homogeneous of degree one, so the identity defects are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -127,14 +128,22 @@ def _export(
     )
 
 
+@lru_cache(maxsize=4)
+def _theta_rule(n_quad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, cos, sin) of the Gauss-Legendre rule in theta on (0, pi); cached, read-only."""
+    xg, wg = leggauss(n_quad)
+    th = 0.5 * np.pi * (xg + 1.0)
+    out = (0.5 * np.pi * wg, np.cos(th), np.sin(th))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def compute_coefficients(
     bundle: dict[str, RadialSolution], n_quad: int = DEFAULT_N_QUAD
 ) -> CoefficientSet:
     """Averaged-formula route at the bundle's (kappa, d), Gauss-Legendre in theta on (0, pi)."""
-    xg, wg = leggauss(n_quad)
-    th = 0.5 * np.pi * (xg + 1.0)
-    w = 0.5 * np.pi * wg
-    ct, st = np.cos(th), np.sin(th)
+    w, ct, st = _theta_rule(n_quad)
     kappa, d = _coefficient_parameters(bundle)
     h, a, b, c, e, k, ap, bp, cp, ep, kp = _profiles_at(bundle, ct)
     E = np.exp(0.5 * kappa * ct**2)

@@ -31,7 +31,10 @@ vanish in every even weight, not only in dr.
 
 Evaluation: one cubic spline through the vertex values gives a profile both
 at any r and, through a cubic spline of its slopes at the vertices, its
-derivative; the coefficient routes read both.
+derivative; the coefficient routes read both.  The spline is the not-a-knot
+spline of scipy's CubicSpline, solved and evaluated in the same operation
+order, so its values and slopes are bitwise CubicSpline's; it lives here so
+that the profiles need no scipy.interpolate.
 
 Strong-form residuals are measured at element vertices only: vertex values
 superconverge, while interior nodes carry an intra-element error component
@@ -45,8 +48,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dgtsv
 
 ELEMENT_DEGREE = 2
 GL_PER_ELEMENT = 8
@@ -55,6 +58,48 @@ GL_PER_ELEMENT = 8
 _FIT_HALF_WIDTH = 4
 _FIT_DEGREE = 6
 INTERIOR_MASK = 0.95
+
+
+class _Spline:
+    """Not-a-knot cubic spline through (x, y), x strictly ascending, n >= 4.
+
+    The slopes solve CubicSpline's tridiagonal system with the LAPACK gtsv
+    its solve_banded((1, 1), ...) calls, and evaluation keeps PPoly's order
+    of operations (Horner would differ in the last bits), so values and
+    slopes are bitwise those of scipy's CubicSpline(x, y).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("spline data must be finite")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([d_lo], dx[:-1]))
+        lower = np.concatenate((dx[1:], [d_hi]))
+        rhs = np.empty_like(x)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_lo
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi
+        s, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[3:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgtsv returned info = {info}")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self._c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        h = r - self.x[i]
+        c0, c1, c2, c3 = self._c[:, i]
+        return c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
+
+    def vertex_slopes(self) -> np.ndarray:
+        """First derivative at every x; the last one from the last interval."""
+        h = self.x[-1] - self.x[-2]
+        c0, c1, c2, _ = self._c[:, -1]
+        return np.append(self._c[2], c2 + c1 * h * 2 + c0 * (h * h) * 3)
 
 
 @dataclass(eq=False)
@@ -76,10 +121,10 @@ class RadialSolution:
     grid: np.ndarray
     values: np.ndarray
     e_profile: RadialSolution | None = field(default=None, repr=False)
-    _spline: CubicSpline = field(init=False, repr=False)
+    _spline: _Spline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._spline = CubicSpline(self.grid, self.values)
+        self._spline = _Spline(self.grid, self.values)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._spline(r)
@@ -90,8 +135,8 @@ class RadialSolution:
         return self.grid.size - 1
 
     @cached_property  # built on first use: many solutions are read for values only
-    def _slope_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self._spline(self.grid, 1))
+    def _slope_spline(self) -> _Spline:
+        return _Spline(self.grid, self._spline.vertex_slopes())
 
     def derivative(self, r: np.ndarray) -> np.ndarray:
         return self._slope_spline(r)
@@ -154,22 +199,43 @@ def _element_quadrature(n_el: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+# (i, j) with i <= j, column by column: the only local entries the SPD
+# banded assembly reads
+_UPPER = tuple((i, j) for j in range(ELEMENT_DEGREE + 1) for i in range(j + 1))
+
+
+def _upper_products(weights: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Rows sum_q weights[:, q] B[q, i] B[q, j] over the elements, one per (i, j) in _UPPER.
+
+    Gauss points summed in order, each term as (weights B_i) B_j: the
+    arithmetic of einsum("eq,qi,qj->eij"), so the entries are bitwise its own.
+    """
+    wt = np.ascontiguousarray(weights.T)
+    out = np.empty((len(_UPPER), wt.shape[1]))
+    for acc, (i, j) in zip(out, _UPPER):
+        acc[:] = wt[0] * B[0, i] * B[0, j]
+        for q in range(1, len(wt)):
+            acc += wt[q] * B[q, i] * B[q, j]
+    return out
+
+
 def _solve_assembled(Aloc: np.ndarray, Floc: np.ndarray, origin_fixed: bool) -> np.ndarray:
     """Assemble element matrices and loads, then solve the SPD banded system.
 
-    origin_fixed imposes u = 0 at the first node (r = 0); otherwise the
-    condition there is natural.
+    Aloc holds the upper local entries, one row of elements per (i, j) in
+    _UPPER.  origin_fixed imposes u = 0 at the first node (r = 0); otherwise
+    the condition there is natural.
     """
     p = ELEMENT_DEGREE
-    n_el = Aloc.shape[0]
+    n_el = Floc.shape[0]
     conn = np.arange(n_el)[:, None] * p + np.arange(p + 1)[None, :]
     ab = np.zeros((p + 1, p * n_el + 1))  # upper storage: ab[p + i - j, j] = A[i, j]
     F = np.zeros(p * n_el + 1)
     # within one local index the global indices are distinct, so += is exact
     for j in range(p + 1):
         F[conn[:, j]] += Floc[:, j]
-        for i in range(j + 1):
-            ab[p + i - j, conn[:, j]] += Aloc[:, i, j]
+    for (i, j), entries in zip(_UPPER, Aloc):
+        ab[p + i - j, conn[:, j]] += entries
     if not origin_fixed:
         return solveh_banded(ab, F)
     u = np.zeros_like(F)
@@ -190,10 +256,10 @@ def _solve_half(
     # sin^{2 mu - 2} into one power of sin
     s = sq ** (2 * mu - 1)
 
-    Aloc = np.einsum("eq,qi,qj->eij", wq * (E * s), dN, dN) * inv_half[:, None, None] ** 2
+    Aloc = _upper_products(wq * (E * s), dN) * inv_half**2
     if prob.zero_order is not None:
         z0 = prob.zero_order(kappa, d, rq)
-        Aloc = Aloc + np.einsum("eq,qi,qj->eij", wq * E * s * z0, N, N)
+        Aloc = Aloc + _upper_products(wq * E * s * z0, N)
     Floc = -np.einsum("eq,qi->ei", wq * (prob.load(rq, e) * E * s), N)
     return theta, _solve_assembled(Aloc, Floc, origin_fixed=prob.parity == "odd")
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .constants import step_count
 from .qtensor import (
@@ -257,6 +256,8 @@ def _local_moments(
     two endpoints of the pairs are summed one after the other, so at most d
     gathered orientation columns are held at once.
     """
+    from scipy.spatial import cKDTree  # slow to import; only the local kernels need it
+
     n, d = positions.shape
     tree = cKDTree(positions, boxsize=config.box_length)
     pairs = tree.query_pairs(config.R * (1.0 + 1e-9), output_type="ndarray")

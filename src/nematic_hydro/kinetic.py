@@ -18,8 +18,9 @@ Time stepping is backward Euler on the same flux form.  The system matrix is
 a symmetric positive-definite tridiagonal M-matrix, so the update preserves
 positivity unconditionally, conserves mass exactly, and makes the quadratic
 entropy sum f_i^2 / M_i mu_i non-increasing step by step.  It depends only on
-(n, d, kappa, D, dt), so it is factored once per such tuple and every step is
-one LAPACK banded triangular solve.
+(n, d, kappa, D, dt), so it is factored once per such tuple (LAPACK pttrf,
+L D L^T of a symmetric positive-definite tridiagonal matrix) and every step
+is one pttrs solve with that factor.
 """
 from __future__ import annotations
 
@@ -28,8 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .constants import GAP_FLOOR, step_count
 from .gci.equilibrium import make_equilibrium
@@ -185,8 +185,8 @@ def gamma_apply(f: AngularDensity, kappa: float, D: float) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _backward_euler_factor(
     n: int, d: int, kappa: float, D: float, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(upper banded Cholesky factor, cell measures mu, centre weights E).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(L D L^T factor: diagonal of D, subdiagonal of L; cell measures mu; centre weights E).
 
     The backward-Euler matrix acts on g = f / E: diag(mu E) plus dt times the
     face-flux stiffness.  Cached per argument tuple and shared by every
@@ -195,14 +195,15 @@ def _backward_euler_factor(
     E, face = _grid_weights(n, d, kappa)
     mu = cell_measures(n, d)
     w = dt * D * face / (np.pi / n)
-    ab = np.zeros((2, n))
-    ab[1, :] = mu * E
-    ab[1, :-1] += w
-    ab[1, 1:] += w
-    ab[0, 1:] = -w
-    chol = cholesky_banded(ab)
-    chol.setflags(write=False)
-    return chol, mu, E
+    diag = mu * E
+    diag[:-1] += w
+    diag[1:] += w
+    diag, sub, info = dpttrf(diag, -w, overwrite_d=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf returned info = {info}: matrix not positive definite")
+    for a in (diag, sub):
+        a.setflags(write=False)
+    return diag, sub, mu, E
 
 
 def evolve(
@@ -218,13 +219,13 @@ def evolve(
         raise ValueError("need dt > 0, D > 0")
     f0.validate()
     steps = step_count(T, dt)
-    chol, mu, E = _backward_euler_factor(f0.n, f0.d, kappa, D, dt)
+    diag, sub, mu, E = _backward_euler_factor(f0.n, f0.d, kappa, D, dt)
     state = AngularDensity(d=f0.d, values=f0.values.copy())
     for _ in range(steps):
         _resolve_axis(state, u_policy)
-        g, info = dpbtrs(chol, mu * state.values, lower=0)
+        g, info = dpttrs(diag, sub, mu * state.values, overwrite_b=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"dpbtrs returned info = {info}")
+            raise np.linalg.LinAlgError(f"dpttrs returned info = {info}")
         state.values = E * g
     return state
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .constants import step_count
 from .gci.corrector import (
@@ -29,7 +28,7 @@ from .gci.corrector import (
     gci_vector,
 )
 from .gci.equilibrium import make_equilibrium
-from .gci.radial import RadialSolution, strong_defect
+from .gci.radial import RadialSolution, _Spline, strong_defect
 from .ibm import (
     IbmConfig,
     ParticleState,
@@ -320,7 +319,7 @@ def corrector_channel_residuals(
     out = {}
     for kind, name in CORRECTOR_CHANNELS.items():
         rr, defect = strong_defect(bundle[kind])
-        defect_at = CubicSpline(rr, defect)(np.clip(r, rr.min(), rr.max()))
+        defect_at = _Spline(rr, defect)(np.clip(r, rr.min(), rr.max()))
         pointwise = inputs.rho * m_weight * defect_at * envelopes[kind]
         out[name] = float(np.max(np.abs(pointwise)))
     return out

@@ -407,11 +407,17 @@ class TestMain:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the equilibrium study needs it
+    # each of these is slow to import: scipy.stats serves only the equilibrium
+    # study and scipy.spatial only the local particle kernels; the profiles
+    # need no scipy.interpolate, which would also load scipy.optimize
     src = str(Path(nematic_hydro.__file__).resolve().parents[1])
-    code = "import sys, nematic_hydro.cli_io.cli; print('scipy.stats' in sys.modules)"
+    slow = ("scipy.stats", "scipy.interpolate", "scipy.spatial", "scipy.optimize")
+    code = (
+        "import sys, nematic_hydro.cli_io.cli; "
+        f"print(sorted(m for m in {slow!r} if m in sys.modules))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

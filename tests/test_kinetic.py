@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from nematic_hydro import kinetic
 from nematic_hydro.gci.equilibrium import make_equilibrium
@@ -150,9 +151,13 @@ def test_timescale_set_by_noise():
     assert l1_distance_to_equilibrium(fast, 4.0) < l1_distance_to_equilibrium(f, 4.0)
 
 
-def _reference_evolve(f0, kappa, D, dt, T, u_policy="fixed"):
-    """Hand copy of the backward-Euler march that factors per call and steps
-    with cho_solve_banded; evolve must reproduce it bit for bit."""
+def _reference_evolve(f0, kappa, D, dt, T, u_policy="fixed", route="pttrs"):
+    """Hand copy of the backward-Euler march that factors per call.
+
+    route "pttrs" steps with LAPACK pttrf/pttrs, the march's own L D L^T
+    route, which evolve must reproduce bit for bit; route "cholesky" steps
+    with cholesky_banded and cho_solve_banded, which rounds differently.
+    """
     if dt <= 0 or T < 0 or D <= 0:
         raise ValueError("need dt > 0, T >= 0, D > 0")
     f0.validate()
@@ -173,18 +178,27 @@ def _reference_evolve(f0, kappa, D, dt, T, u_policy="fixed"):
     ab[1, :-1] += w
     ab[1, 1:] += w
     ab[0, 1:] = -w
-    chol = cholesky_banded(ab)
+    if route == "pttrs":
+        diag, sub, info = dpttrf(ab[1], ab[0, 1:])
+        assert info == 0
+
+        def solve(b):
+            return dpttrs(diag, sub, b)[0]
+    else:
+        chol = cholesky_banded(ab)
+
+        def solve(b):
+            return cho_solve_banded((chol, False), b)
     state = AngularDensity(d=f0.d, values=f0.values.copy())
     for _ in range(steps):
         kinetic._resolve_axis(state, u_policy)
-        g = cho_solve_banded((chol, False), mu * state.values)
-        state.values = E * g
+        state.values = E * solve(mu * state.values)
     return state
 
 
 @pytest.mark.parametrize("u_policy", ["fixed", "self-consistent"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_march_matches_cho_solve_banded_reference(d, u_policy, monkeypatch):
+def test_march_matches_per_call_reference(d, u_policy, monkeypatch):
     f = bump_density(120, d, center=0.4)
     args = (3.5, 0.8, 2e-3, 0.3)
     ref = _reference_evolve(f, *args, u_policy=u_policy)
@@ -196,17 +210,35 @@ def test_march_matches_cho_solve_banded_reference(d, u_policy, monkeypatch):
     assert np.array_equal(series, ref_series)
 
 
+@pytest.mark.parametrize("u_policy", ["fixed", "self-consistent"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_march_matches_cho_solve_banded_reference(d, u_policy):
+    # the banded Cholesky route the march used before: the same matrix,
+    # factored and solved in another rounding order
+    f = bump_density(120, d, center=0.4)
+    args = (3.5, 0.8, 2e-3, 0.3)
+    ref = _reference_evolve(f, *args, u_policy=u_policy, route="cholesky")
+    out = evolve(f, *args, u_policy=u_policy)
+    assert np.all(np.abs(out.values - ref.values) <= 1e-11 * np.abs(ref.values))
+
+
 def test_relaxation_series_factors_once(monkeypatch):
     calls = []
 
-    def counting_cholesky(ab):
-        calls.append(ab.shape)
-        return cholesky_banded(ab)
+    def counting_dpttrf(diag, sub, **kwargs):
+        calls.append(diag.shape)
+        return dpttrf(diag, sub, **kwargs)
 
-    monkeypatch.setattr(kinetic, "cholesky_banded", counting_cholesky)
+    monkeypatch.setattr(kinetic, "dpttrf", counting_dpttrf)
     kinetic._backward_euler_factor.cache_clear()
     rows = relaxation_series(bump_density(80, 3), 4.0, 1.0, dt=1e-2, T=0.8, n_samples=40)
     assert len(rows) == 41
-    assert calls == [(2, 80)]
+    assert calls == [(80,)]
     for a in kinetic._backward_euler_factor(80, 3, 4.0, 1.0, 1e-2):
         assert not a.flags.writeable
+
+
+def test_factor_of_indefinite_matrix_raises():
+    # D < 0 (evolve rejects it before factoring) makes the diagonal negative
+    with pytest.raises(np.linalg.LinAlgError, match="dpttrf"):
+        kinetic._backward_euler_factor(64, 3, 4.0, -1.0, 1.0)

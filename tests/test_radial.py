@@ -134,6 +134,39 @@ def test_slope_spline_built_on_first_derivative_call():
     assert "_slope_spline" in vars(sol)
 
 
+@pytest.mark.parametrize("kappa, d, n", [(2.0, 3, 1024), (7.3, 2, 8192)])
+def test_spline_bitwise_equal_to_cubic_spline(kappa, d, n):
+    bundle = solve_bundle(kappa, d, n)
+    # inside, on every vertex, and extended past both ends
+    r = np.concatenate((np.linspace(-1.05, 1.05, 2001), bundle["h"].grid))
+    for kind, sol in bundle.items():
+        values = CubicSpline(sol.grid, sol.values)
+        slopes = CubicSpline(sol.grid, values(sol.grid, 1))
+        assert np.array_equal(sol(r), values(r)), kind
+        assert np.array_equal(sol.derivative(r), slopes(r)), kind
+
+
+def test_spline_rejects_non_finite_data():
+    x = np.linspace(0.0, 1.0, 9)
+    y = x**2
+    y[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        radial._Spline(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        CubicSpline(x, y)
+
+
+def test_upper_products_are_einsum_entries():
+    # the profiles near r = +-1 amplify element-matrix rounding through the
+    # slope spline, so the assembly keeps einsum's arithmetic to the bit
+    _, _, wq, rq, sq, N, dN = radial._element_quadrature(512)
+    weights = wq * np.exp(1.7 * rq**2) * sq**2
+    for B in (N, dN):
+        full = np.einsum("eq,qi,qj->eij", weights, B, B)
+        upper = np.array([full[:, i, j] for i, j in radial._UPPER])
+        assert np.array_equal(radial._upper_products(weights, B), upper)
+
+
 def test_solution_metadata(bundle_k2d3):
     for kind in ALL_KINDS:
         sol = bundle_k2d3[kind]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from nematic_hydro import validation
 from nematic_hydro.gci.corrector import CorrectorInputs
 from nematic_hydro.gci.radial import solve_bundle
 from nematic_hydro.ibm import IbmConfig
@@ -146,6 +148,15 @@ class TestCorrectorResidual:
         # near the 1e-10 floor quadrature error dilutes the clean profile
         # convergence order, so only a solid decrease is required
         assert r_coarse / r_fine > 2.0
+
+    def test_defect_spline_reads_as_cubic_spline(self, bundle_k2d3, monkeypatch):
+        gu = np.array([[0.1, 0.2, 0.0], [-0.05, 0.3, 0.0], [0.15, -0.1, 0.0]])
+        inputs = CorrectorInputs(
+            rho=0.8, grad_rho=np.array([0.4, -0.3, 0.6]), u=U3, grad_u=gu
+        )
+        per = corrector_channel_residuals(inputs, bundle_k2d3)
+        monkeypatch.setattr(validation, "_Spline", CubicSpline)
+        assert per == corrector_channel_residuals(inputs, bundle_k2d3)
 
     def test_bundle_must_match_the_inputs(self, bundle_k2d3):
         planar = CorrectorInputs(
