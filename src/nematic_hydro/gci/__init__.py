@@ -15,7 +15,7 @@ from .coefficients import (
     compute_coefficients_derivation,
     max_discrepancy,
 )
-from .corrector import CorrectorInputs, corrector_f1, gci_vector, transport_source
+from .corrector import CorrectorInputs, corrector_f1, gci_vector
 
 __all__ = [
     "ALL_KINDS",
@@ -32,5 +32,4 @@ __all__ = [
     "max_discrepancy",
     "solve_bundle",
     "strong_residual",
-    "transport_source",
 ]

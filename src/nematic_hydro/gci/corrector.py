@@ -126,18 +126,3 @@ def corrector_f1(
     channel_sum = sum(bundle[kind](r) * envelopes[kind] for kind in CORRECTOR_KINDS)
     out = inputs.rho * eq.density(r) * channel_sum
     return float(out) if out.ndim == 0 else out
-
-
-def transport_source(
-    inputs: CorrectorInputs, kappa: float, omega: np.ndarray
-) -> float | np.ndarray:
-    """The gradient source the corrector must balance, divided by rho * M_u.
-
-    This is the directional space derivative of log(rho M_u) along omega,
-    split off its equilibrium factor; the corrector's channel sum applied to
-    the conjugated collision operator reproduces it exactly.
-    """
-    env = channel_envelopes(inputs, kappa, omega)
-    r = np.asarray(omega, dtype=float) @ inputs.u
-    out = env["a"] + r**2 * env["b"] + r * env["c"] + r * env["e"]
-    return float(out) if out.ndim == 0 else out

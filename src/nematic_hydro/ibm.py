@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -217,27 +217,6 @@ def _kernel_weights(dist2: np.ndarray, config: IbmConfig) -> np.ndarray:
     return w
 
 
-def _local_moments_dense(
-    positions: np.ndarray, orientations: np.ndarray, config: IbmConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs reference for _local_moments, chunked over rows to bound memory.
-
-    Not used by the stepper; tests compare the tree path against it.
-    """
-    n = positions.shape[0]
-    d = positions.shape[1]
-    moments = np.empty((n, d, d))
-    wsum = np.empty(n)
-    block = max(1, int(2**22 // max(n, 1)))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        disp = _min_image(positions[s:e, None, :] - positions[None, :, :], config.box_length)
-        w = _kernel_weights(_squared_lengths(disp.transpose(2, 0, 1)), config)
-        moments[s:e] = np.einsum("pj,ja,jb->pab", w, orientations, orientations)
-        wsum[s:e] = w.sum(axis=1)
-    return moments, wsum
-
-
 def _local_moments(
     positions: np.ndarray, orientations: np.ndarray, config: IbmConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -317,27 +296,6 @@ def _global_direction(orientations: np.ndarray) -> np.ndarray:
         return leading_direction(qtensor_from_orientations(orientations)).direction
     except DegenerateLeadingEigenvalue:
         return np.zeros(orientations.shape[1])
-
-
-def local_mean_direction(
-    state: ParticleState, config: IbmConfig, i: int
-) -> Optional[np.ndarray]:
-    """Leading eigenvector of particle i's kernel-weighted Q-tensor.
-
-    Includes the particle itself, so an isolated particle sees its own
-    orientation (up to sign).  Returns None when the leading eigenvalue is
-    degenerate, in which case the stepper applies no alignment drift.
-
-    This is the per-particle reference path; the stepper computes the same
-    quantity for all particles at once through a periodic k-d tree.
-    """
-    disp = _min_image(state.positions - state.positions[i], config.box_length)
-    weights = _kernel_weights(_squared_lengths(disp.T), config)
-    Q = qtensor_from_orientations(state.orientations, weights)
-    try:
-        return leading_direction(Q).direction
-    except DegenerateLeadingEigenvalue:
-        return None
 
 
 def _drift(
@@ -502,7 +460,6 @@ __all__ = [
     "ParticleState",
     "Observation",
     "initial_state",
-    "local_mean_direction",
     "step",
     "run",
     "coarse_grain",

@@ -56,8 +56,6 @@ __all__ = [
     "MacroField",
     "appendix_identity_residual",
     "auxiliary_operator_checks",
-    "density_rate",
-    "direction_rhs",
     "preprojection_drift",
     "rotate_quarter_turn",
     "step",
@@ -336,7 +334,21 @@ def _density_rate_into(out, rho, u, dx, coeffs, pieces, w) -> np.ndarray:
 
 
 def _direction_rate_into(out, rho, u, dx, coeffs, pieces, w) -> list[np.ndarray]:
-    """The direction rate of direction_rhs into out; overwrites gu with B.
+    """d_t u into out: the twelve-term tangent right-hand side divided by rho;
+    overwrites gu with B.
+
+    Term inventory (positive convention, all twelve odd in u):
+      E1 P grad(u.grad rho)
+      F1 rho P (u.grad)((u.grad)u)      F2 rho P div(P grad u)
+      F3 rho P grad(div u)
+      G1 (u.grad rho)(u.grad)u          G2 (P grad u)(P grad rho)
+      G3 (P grad u)^T (P grad rho)      G4 (div u) P grad rho
+      H1 (u.grad rho / rho)(P grad rho) H2 rho (P grad u)((u.grad)u)
+      H3 rho (P grad u)^T ((u.grad)u)   H4 rho (div u)(u.grad)u
+
+    The logarithmic derivative in H1 is computed as (u.grad rho)/rho, hence
+    the hard positivity floor.  B = P grad u is tangent in its first slot by
+    construction; the remaining non-structural terms are P-wrapped.
 
     The projector is linear and commutes with nodewise scalars, so the six
     P-wrapped terms share one projection, and the G2/H2 and G3/H3 pairs
@@ -407,39 +419,6 @@ def _direction_rate_into(out, rho, u, dx, coeffs, pieces, w) -> list[np.ndarray]
     for i in range(d):
         out[i] += np.subtract(wrapped[i], np.multiply(u[i], along, out=tmp), out=tmp)
         out[i] *= inv_rho
-    return out
-
-
-def density_rate(fields: MacroField, coeffs: CoefficientSet) -> np.ndarray:
-    """d_t rho = -div J in flux-difference form (lattice sum telescopes)."""
-    w = _Planes(fields.rho.shape)
-    u = _split(fields.u, w)
-    pieces = _pieces(fields.rho, u, w)
-    out = np.empty(fields.rho.shape)
-    return _density_rate_into(out, fields.rho, u, fields.dx, coeffs, pieces, w)
-
-
-def direction_rhs(fields: MacroField, coeffs: CoefficientSet) -> np.ndarray:
-    """d_t u: the twelve-term tangent right-hand side divided by rho.
-
-    Term inventory (positive convention, all twelve odd in u):
-      E1 P grad(u.grad rho)
-      F1 rho P (u.grad)((u.grad)u)      F2 rho P div(P grad u)
-      F3 rho P grad(div u)
-      G1 (u.grad rho)(u.grad)u          G2 (P grad u)(P grad rho)
-      G3 (P grad u)^T (P grad rho)      G4 (div u) P grad rho
-      H1 (u.grad rho / rho)(P grad rho) H2 rho (P grad u)((u.grad)u)
-      H3 rho (P grad u)^T ((u.grad)u)   H4 rho (div u)(u.grad)u
-
-    The logarithmic derivative in H1 is computed as (u.grad rho)/rho, hence
-    the hard positivity floor.  B = P grad u is tangent in its first slot by
-    construction; the remaining non-structural terms are P-wrapped.
-    """
-    w = _Planes(fields.rho.shape)
-    u = _split(fields.u, w)
-    pieces = _pieces(fields.rho, u, w)
-    out = np.moveaxis(_empty((len(u),) + fields.rho.shape), 0, -1)
-    _direction_rate_into(_split(out, w), fields.rho, u, fields.dx, coeffs, pieces, w)
     return out
 
 

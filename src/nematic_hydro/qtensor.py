@@ -23,25 +23,15 @@ class SpectralInfo:
     leading_eigenvalue: float
 
 
-def qtensor_from_orientations(
-    orientations: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Weighted average of omega (x) omega - Id/d over the rows of orientations."""
+def qtensor_from_orientations(orientations: np.ndarray) -> np.ndarray:
+    """Average of omega (x) omega - Id/d over the rows of orientations."""
     # one memory layout for every input, so that the matrix product below,
     # and with it the last bits of Q, depend on the values alone
     omega = np.asfortranarray(np.atleast_2d(orientations), dtype=float)
     if omega.shape[0] == 0:
         raise ValueError("empty orientation list")
     n, d = omega.shape
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must sum to a positive number")
-        w = w / total
-    second = (omega.T * w) @ omega
+    second = (omega.T * (1.0 / n)) @ omega
     second = 0.5 * (second + second.T)  # the product is not bitwise symmetric
     return second - np.eye(d) / d
 

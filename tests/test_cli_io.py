@@ -406,11 +406,14 @@ class TestMain:
             cli.main(["validate"])
 
 
+SRC = str(Path(nematic_hydro.__file__).resolve().parents[1])
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # each of these is slow to import: scipy.stats serves only the equilibrium
-    # study and scipy.spatial only the local particle kernels; the profiles
-    # need no scipy.interpolate, which would also load scipy.optimize
-    src = str(Path(nematic_hydro.__file__).resolve().parents[1])
+    # each of these is slow to import: no code of the program uses scipy.stats
+    # (the equilibrium study computes its KS distance itself), scipy.spatial
+    # serves only the local particle kernels, and the profiles need no
+    # scipy.interpolate, which would also load scipy.optimize
     slow = ("scipy.stats", "scipy.interpolate", "scipy.spatial", "scipy.optimize")
     code = (
         "import sys, nematic_hydro.cli_io.cli; "
@@ -418,6 +421,40 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_equilibrium_suite_leaves_scipy_stats_unloaded(tmp_path):
+    cfg = write_cfg(tmp_path, "[validate]\nN = 200\nT = 0.01\n")
+    argv = ["validate", "--suite", "equilibrium", "--config", str(cfg),
+            "--out", str(tmp_path / "o")]
+    code = (
+        "import sys\n"
+        "from nematic_hydro.cli_io import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'scipy.stats' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.stdout.split() == ["0", "False"]
+    assert (tmp_path / "o" / "equilibrium_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, exit_code",
+    [("[coeffs]\nkappas = 1.0\nds = 2\nn = 64\n", 0), ("[coeffs]\nbogus = 1\n", 2)],
+    ids=["runs", "unknown-key"],
+)
+def test_python_m_runs_the_cli(tmp_path, text, exit_code):
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "nematic_hydro.cli_io.cli", "coeffs", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == exit_code, done.stderr
+    assert (out / "coefficients.csv").exists() == (exit_code == 0)

@@ -5,7 +5,6 @@ from nematic_hydro.gci.corrector import (
     CorrectorInputs,
     corrector_f1,
     gci_vector,
-    transport_source,
 )
 from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.gci.radial import solve_bundle
@@ -123,31 +122,3 @@ class TestCorrectorF1:
         omega = np.array([0.6, 0.0, 0.8])
         value = corrector_f1(inputs, bundle_k2d3, omega)
         assert isinstance(value, float)
-
-
-class TestTransportSource:
-    def test_matches_direct_formula(self, rng):
-        inputs = make_inputs()
-        kappa = 2.0
-        omega = rng.standard_normal(3)
-        omega /= np.linalg.norm(omega)
-        r = float(omega @ inputs.u)
-        omega_perp = omega - r * inputs.u
-        grad_log_rho = inputs.grad_rho / inputs.rho
-        curvature = inputs.u @ inputs.grad_u
-        shear = omega_perp @ inputs.grad_u @ omega_perp
-        expected = (
-            omega_perp @ grad_log_rho
-            + kappa * r**2 * (omega_perp @ curvature)
-            + r * (inputs.u @ grad_log_rho)
-            + kappa * r * shear
-        )
-        assert abs(transport_source(inputs, kappa, omega) - expected) < 1e-15
-
-    def test_vanishes_for_uniform_state(self, rng):
-        inputs = CorrectorInputs(
-            rho=1.0, grad_rho=np.zeros(3), u=U3, grad_u=np.zeros((3, 3))
-        )
-        omega = rng.standard_normal((20, 3))
-        omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-        assert np.abs(transport_source(inputs, 2.0, omega)).max() == 0.0

@@ -5,20 +5,20 @@ import pytest
 from scipy.stats import kstest
 
 from nematic_hydro import ibm
-from nematic_hydro.constants import step_count
+from nematic_hydro.constants import GAP_FLOOR, step_count
 from nematic_hydro.ibm import (
     IbmConfig,
     ParticleState,
     _drift,
+    _kernel_weights,
     _local_moments,
-    _local_moments_dense,
     _mean_directions,
+    _min_image,
     _squared_lengths,
     _stream,
     _wrap,
     coarse_grain,
     initial_state,
-    local_mean_direction,
     run,
     step,
 )
@@ -315,6 +315,46 @@ def test_run_returns_the_final_state_of_the_seeded_march():
     assert np.array_equal(final.orientations, state.orientations)
     assert [ob.time for ob in obs] == pytest.approx([0.0, 0.02, 0.04, 0.05])
     assert np.array_equal(obs[-1].qtensor, qtensor_from_orientations(final.orientations))
+
+
+# ---------------------------------------------------------------------------
+# Reference paths for the neighbour moments and the local directions: every
+# pair by brute force, and one particle's weighted Q-tensor at a time.
+
+
+def _local_moments_dense(positions, orientations, config):
+    """All-pairs reference for _local_moments, chunked over rows to bound memory."""
+    n = positions.shape[0]
+    d = positions.shape[1]
+    moments = np.empty((n, d, d))
+    wsum = np.empty(n)
+    block = max(1, int(2**22 // max(n, 1)))
+    for s in range(0, n, block):
+        e = min(n, s + block)
+        disp = _min_image(positions[s:e, None, :] - positions[None, :, :], config.box_length)
+        w = _kernel_weights(_squared_lengths(disp.transpose(2, 0, 1)), config)
+        moments[s:e] = np.einsum("pj,ja,jb->pab", w, orientations, orientations)
+        wsum[s:e] = w.sum(axis=1)
+    return moments, wsum
+
+
+def local_mean_direction(state, config, i):
+    """Leading eigenvector of particle i's kernel-weighted Q-tensor, or None
+    when its spectral gap falls below GAP_FLOOR.
+
+    Includes the particle itself, so an isolated particle sees its own
+    orientation (up to sign).  The Q-tensor is formed and solved here, with
+    no code of qtensor's.
+    """
+    disp = _min_image(state.positions - state.positions[i], config.box_length)
+    w = _kernel_weights(_squared_lengths(disp.T), config)
+    omega = np.asfortranarray(state.orientations)
+    d = omega.shape[1]
+    second = (omega.T * (w / w.sum())) @ omega
+    lam, vec = np.linalg.eigh(0.5 * (second + second.T) - np.eye(d) / d)
+    if lam[-1] - lam[-2] < GAP_FLOOR:
+        return None
+    return vec[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.stats import kstest
 
 from nematic_hydro import validation
 from nematic_hydro.gci.corrector import CorrectorInputs
@@ -198,6 +199,22 @@ class TestEquilibriumStatistics:
         cfg = IbmConfig(N=100, d=2, nu=1.0, D=1.0, R=0.1, kernel="global", dt=1e-2)
         with pytest.raises(ValueError, match="shorter than one step"):
             ibm_equilibrium_statistics(cfg, T=0.004)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kappa", [0.0, 1.3, 4.0])
+    @pytest.mark.parametrize(
+        "n, decimals", [(1, None), (20_000, None), (500, 1)], ids=["one", "many", "repeated"]
+    )
+    def test_ks_distance_is_the_kstest_statistic(self, n, decimals, kappa, d):
+        # samples crowd toward +-1 as aligned orientations do; one decimal
+        # leaves at most 21 distinct values, so the sample holds ties
+        gen = np.random.default_rng(n)
+        samples = np.cos(np.pi * gen.random(n) ** 2) * gen.choice([-1.0, 1.0], n)
+        if decimals is not None:
+            samples = np.round(samples, decimals)
+            assert np.unique(samples).size <= 21
+        cdf = aligned_marginal_cdf(kappa, d)
+        assert validation._ks_distance(samples, cdf) == kstest(samples, cdf).statistic
 
     def test_marginal_cdf_closed_form_at_zero_coupling(self):
         cdf = aligned_marginal_cdf(0.0, 2)
