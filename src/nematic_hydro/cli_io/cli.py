@@ -16,7 +16,7 @@ import numpy as np
 
 from ..constants import step_count
 from ..gci.coefficients import compute_coefficients
-from ..gci.corrector import CorrectorInputs
+from ..gci.corrector import CorrectorInputs, corrector_channel_residuals
 from ..gci.radial import solve_bundle
 from ..ibm import IbmConfig, coarse_grain, run as ibm_run
 from ..kinetic import bump_density, relaxation_series
@@ -26,7 +26,6 @@ from ..qtensor import DegenerateLeadingEigenvalue
 from ..validation import (
     AlignedPerturbation,
     aligned_marginal_cdf,
-    corrector_channel_residuals,
     eps_expansion_study,
     gci_orthogonality_report,
     ibm_equilibrium_statistics,

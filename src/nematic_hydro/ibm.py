@@ -12,12 +12,11 @@ integrated with a Heun scheme: both stages project the drift and the same
 noise increment onto the tangent space of the stage orientation, and the
 result is renormalized to the unit sphere.
 
-The stepper works on component columns: positions and orientations are
-(N, d) arrays in Fortran order, so each component is one contiguous column,
-and per-particle quantities such as the cosine omega.obar are summed over
-the d columns.  The global kernel's obar is a single d-vector shared by
-every particle; the local kernels give one direction per particle, held as
-(N, d) columns as well.
+The stepper works on component columns: a ParticleState holds its (N, d)
+arrays in Fortran order, and per-particle quantities such as the cosine
+omega.obar are summed over the d columns.  The global kernel's obar is a
+single d-vector shared by every particle; the local kernels give one
+direction per particle, held as (N, d) columns as well.
 
 Randomness is counter-based.  Step t of a run draws its (N, d) standard
 normal table from a fresh Philox-4x64 bit generator keyed (seed, t); row i
@@ -107,15 +106,20 @@ class IbmConfig:
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Positions in [0, L)^d, unit orientations, and the current time."""
+    """Positions in [0, L)^d, unit orientations, and the current time.
+
+    Both arrays are held as (N, d) float columns in Fortran order, so each
+    component is one contiguous column.  Arrays already in that layout, as
+    step returns them, are kept as they are; others are copied once.
+    """
 
     positions: np.ndarray
     orientations: np.ndarray
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
-        omega = np.asarray(self.orientations, dtype=float)
+        pos = np.asfortranarray(self.positions, dtype=float)
+        omega = np.asfortranarray(self.orientations, dtype=float)
         if pos.ndim != 2 or pos.shape[1] < 2:
             raise ValueError("positions must have shape (N, d) with d >= 2")
         if omega.shape != pos.shape:
@@ -205,9 +209,8 @@ def _normalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def _kernel_weights(dist2: np.ndarray, config: IbmConfig) -> np.ndarray:
-    """Relative interaction weight per squared distance (self included)."""
-    if config.kernel == "global":
-        return np.ones_like(dist2)
+    """Relative interaction weight per squared distance (self included), for
+    the local kernels; the global kernel weighs no pairs."""
     s2 = dist2 / (config.R * config.R)
     if config.kernel == "indicator":
         return (s2 <= 1.0).astype(float)
@@ -331,10 +334,9 @@ def step(
     regardless of visit order.  Both stages project the drift and the same
     noise increment onto the tangent space of the stage orientation; the
     combined update is renormalized.  Positions advance along the pre-step
-    orientation and wrap periodically.  The input state is left untouched;
-    the returned arrays are (N, d) in Fortran order.
+    orientation and wrap periodically.  The input state is left untouched.
     """
-    omega = np.asfortranarray(state.orientations)
+    omega = state.orientations
     dt = config.dt
     if config.nu == 0.0:
         # No alignment: skip the neighbor pass; a zero direction gives zero drift.
@@ -365,7 +367,7 @@ def step(
     combined += omega
     combined += noise_mean
     new_omega = _normalize(combined)
-    new_pos = _wrap(np.asfortranarray(state.positions) + dt * omega, config.box_length)
+    new_pos = _wrap(state.positions + dt * omega, config.box_length)
     return ParticleState(new_pos, new_omega, state.time + dt)
 
 

@@ -31,12 +31,11 @@ refinement studies can confirm it.
 
 The rate assembly works on lists of contiguous component planes rather than
 stacked (..., d) arrays: slicing a stacked array per component is strided
-and several times slower, and the stepping loop is the hot path.  So step
-returns u component-major, a stacked (..., d) view of one (d, ...) array,
-and takes the planes of such a u as they are; a C-stacked u (a caller's
-first step) is copied into planes once.  Every intermediate of a step is
-written into 64-byte aligned planes that its MacroConfig keeps across
-steps (_Planes), so a step allocates only the fields it returns.
+and several times slower, and the stepping loop is the hot path.  A
+MacroField holds u component-major, so its planes are views.  Every
+intermediate of a step is written into 64-byte aligned planes that its
+MacroConfig keeps across steps (_Planes), so a step allocates only the
+fields it returns.
 """
 from __future__ import annotations
 
@@ -86,6 +85,11 @@ class MacroField:
     equals the number of direction components.  dx is the lattice spacing.
     Construction checks shapes only; validate() checks the value invariants
     (finite rho > 0 and |u| = 1 within UNIT_TOL).
+
+    u is held component-major, a stacked (..., d) view of one C-contiguous
+    (d, ...) array, so each component is a contiguous plane.  A u already in
+    that layout, as step returns it, is kept without a copy; any other u is
+    copied into it once.
     """
 
     rho: np.ndarray
@@ -96,8 +100,6 @@ class MacroField:
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
         u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "u", u)
         if rho.ndim < 2:
             raise ValueError("density must live on a lattice of dimension >= 2")
         if u.shape != rho.shape + (rho.ndim,):
@@ -106,6 +108,10 @@ class MacroField:
             )
         if not self.dx > 0:
             raise ValueError("lattice spacing must be positive")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(
+            self, "u", np.moveaxis(np.ascontiguousarray(np.moveaxis(u, -1, 0)), 0, -1)
+        )
 
     @property
     def spatial_dim(self) -> int:
@@ -247,18 +253,6 @@ class _Planes(dict):
 
     def vec(self, name) -> list[np.ndarray]:
         return [self[name, i] for i in range(len(self.shape))]
-
-
-def _split(u: np.ndarray, w: _Planes) -> list[np.ndarray]:
-    """Contiguous component planes of a stacked vector field: the views of a
-    component-major u, else copies in w's planes."""
-    comps = [u[..., i] for i in range(u.shape[-1])]
-    if all(comp.flags.c_contiguous for comp in comps):
-        return comps
-    planes = w.vec("u0")
-    for plane, comp in zip(planes, comps):
-        np.copyto(plane, comp)
-    return planes
 
 
 def _sum_of_products(out: np.ndarray, terms, tmp: np.ndarray) -> np.ndarray:
@@ -449,7 +443,7 @@ def _heun(fields: MacroField, config: MacroConfig) -> tuple[MacroField, float]:
     rho0 = fields.rho
     w = config._planes_for(rho0.shape)
     tmp, norms = w["tmp"], w["norms"]
-    u0 = _split(fields.u, w)
+    u0 = list(np.moveaxis(fields.u, -1, 0))
     d = len(u0)
 
     k1_rho, k1_u = w["k1_rho"], w.vec("k1_u")
@@ -477,9 +471,9 @@ def _heun(fields: MacroField, config: MacroConfig) -> tuple[MacroField, float]:
         u_raw[i] += u0[i]
     _check_in_range(rho_new, u_raw, f"after the step at t={fields.time:g}")
     drift = max(drift, _unit_defect(_norms_into(norms, u_raw, tmp)))
-    u_new = np.moveaxis(_empty((d,) + rho0.shape), 0, -1)  # component-major
-    _renormalize_into(_split(u_new, w), u_raw, norms)
-    out = replace(fields, rho=rho_new, u=u_new, time=fields.time + dt)
+    u_new = _empty((d,) + rho0.shape)  # the planes of a component-major u
+    _renormalize_into(u_new, u_raw, norms)
+    out = replace(fields, rho=rho_new, u=np.moveaxis(u_new, 0, -1), time=fields.time + dt)
     return out, drift
 
 

@@ -1,11 +1,11 @@
 """Cross-scale and cross-theorem checks tying the model levels together.
 
-Five studies: the quadratic small-radius expansion of the nonlocal Q-tensor,
+Four studies: the quadratic small-radius expansion of the nonlocal Q-tensor,
 orthogonality of the collision operator against the vector collision
-invariant, the strong-form defect of the first-order corrector, agreement of
-long-run particle statistics with the aligned equilibrium marginal, and a
-qualitative particle-versus-continuum comparison under the parabolic space
-time scaling.
+invariant, agreement of long-run particle statistics with the aligned
+equilibrium marginal, and a qualitative particle-versus-continuum comparison
+under the parabolic space time scaling.  The strong-form defect of the
+first-order corrector is gci.corrector's own study.
 
 Conventions.  Sphere integrals use the unit-mass measure throughout, matching
 the quadrature module.  The continuum system is stated in time units of 1/D,
@@ -20,15 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import step_count
-from .gci.corrector import (
-    CORRECTOR_CHANNELS,
-    CorrectorInputs,
-    _validate_corrector_bundle,
-    channel_envelopes,
-    gci_vector,
-)
+from .gci.corrector import gci_vector
 from .gci.equilibrium import make_equilibrium
-from .gci.radial import RadialSolution, _Spline, strong_defect
+from .gci.radial import RadialSolution
 from .ibm import (
     IbmConfig,
     ParticleState,
@@ -48,7 +42,6 @@ __all__ = [
     "rotating_equilibrium_family",
     "AlignedPerturbation",
     "gci_orthogonality_report",
-    "corrector_channel_residuals",
     "EquilibriumStats",
     "aligned_marginal_cdf",
     "ibm_equilibrium_statistics",
@@ -291,38 +284,6 @@ def gci_orthogonality_report(
     orth = float(np.linalg.norm(quad.integrate(gamma[:, None] * psi)))
     mass = float(abs(quad.integrate(gamma)))
     return {"orthogonality": orth, "mass": mass}
-
-
-# ---------------------------------------------------------------------------
-# corrector strong-form defect
-
-
-def corrector_channel_residuals(
-    inputs: CorrectorInputs, bundle: dict[str, RadialSolution]
-) -> dict[str, float]:
-    """Sup-norm defect of each corrector channel over quadrature nodes.
-
-    Applying the frozen-axis collision operator to one channel of the
-    corrector reproduces that channel's radial operator exactly, times the
-    channel's angular envelope; the pointwise defect therefore factorizes
-    into (radial strong-form defect) x (envelope) x (gradient activity),
-    weighted by the equilibrium density.  The profiles satisfy reduced
-    equations with D scaled out, so D enters only through the bundle's
-    kappa; the defect is reported in that normalization.
-    """
-    eq = _validate_corrector_bundle(inputs, bundle)
-    quad = build_quadrature(eq.d, inputs.u, 96)
-    r = quad.nodes @ inputs.u
-    m_weight = eq.density(r)
-    envelopes = channel_envelopes(inputs, eq.kappa, quad.nodes)
-
-    out = {}
-    for kind, name in CORRECTOR_CHANNELS.items():
-        rr, defect = strong_defect(bundle[kind])
-        defect_at = _Spline(rr, defect)(np.clip(r, rr.min(), rr.max()))
-        pointwise = inputs.rho * m_weight * defect_at * envelopes[kind]
-        out[name] = float(np.max(np.abs(pointwise)))
-    return out
 
 
 # ---------------------------------------------------------------------------

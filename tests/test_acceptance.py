@@ -19,7 +19,7 @@ from nematic_hydro.gci.coefficients import (
     compute_coefficients_derivation,
     max_discrepancy,
 )
-from nematic_hydro.gci.corrector import CorrectorInputs
+from nematic_hydro.gci.corrector import CorrectorInputs, corrector_channel_residuals
 from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.gci.radial import strong_residual
 from nematic_hydro.ibm import IbmConfig
@@ -35,7 +35,6 @@ from nematic_hydro.macro import (
 )
 from nematic_hydro.validation import (
     AlignedPerturbation,
-    corrector_channel_residuals,
     eps_expansion_study,
     gci_orthogonality_report,
     ibm_equilibrium_statistics,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from nematic_hydro.gci import corrector
 from nematic_hydro.gci.corrector import (
     CorrectorInputs,
+    corrector_channel_residuals,
     corrector_f1,
     gci_vector,
 )
@@ -122,3 +125,62 @@ class TestCorrectorF1:
         omega = np.array([0.6, 0.0, 0.8])
         value = corrector_f1(inputs, bundle_k2d3, omega)
         assert isinstance(value, float)
+
+
+class TestCorrectorResidual:
+    def test_zero_gradients_give_zero_residual(self, bundle_k2d3):
+        zero = CorrectorInputs(
+            rho=1.3, grad_rho=np.zeros(3), u=U3, grad_u=np.zeros((3, 3))
+        )
+        assert max(corrector_channel_residuals(zero, bundle_k2d3).values()) == 0.0
+
+    def test_transverse_density_gradient_isolates_one_channel(self, bundle_k2d3):
+        inputs = CorrectorInputs(
+            rho=1.3, grad_rho=np.array([0.7, -0.2, 0.0]), u=U3, grad_u=np.zeros((3, 3))
+        )
+        per = corrector_channel_residuals(inputs, bundle_k2d3)
+        assert set(per) == {
+            "density_gradient",
+            "curvature",
+            "parallel_gradient",
+            "shear",
+            "divergence",
+        }
+        assert 0.0 < per["density_gradient"] < 1e-5
+        assert all(v == 0.0 for k, v in per.items() if k != "density_gradient")
+
+    def test_residual_shrinks_under_profile_refinement(self, bundle_k2d3):
+        gu = np.array([[0.1, 0.2, 0.0], [-0.05, 0.3, 0.0], [0.15, -0.1, 0.0]])
+        inputs = CorrectorInputs(
+            rho=0.8, grad_rho=np.array([0.4, -0.3, 0.6]), u=U3, grad_u=gu
+        )
+        coarse = solve_bundle(2.0, 3, 256)
+        r_coarse = max(corrector_channel_residuals(inputs, coarse).values())
+        r_fine = max(corrector_channel_residuals(inputs, bundle_k2d3).values())
+        assert r_fine < 1e-5
+        # near the 1e-10 floor quadrature error dilutes the clean profile
+        # convergence order, so only a solid decrease is required
+        assert r_coarse / r_fine > 2.0
+
+    def test_defect_spline_reads_as_cubic_spline(self, bundle_k2d3, monkeypatch):
+        gu = np.array([[0.1, 0.2, 0.0], [-0.05, 0.3, 0.0], [0.15, -0.1, 0.0]])
+        inputs = CorrectorInputs(
+            rho=0.8, grad_rho=np.array([0.4, -0.3, 0.6]), u=U3, grad_u=gu
+        )
+        per = corrector_channel_residuals(inputs, bundle_k2d3)
+        monkeypatch.setattr(corrector, "_Spline", CubicSpline)
+        assert per == corrector_channel_residuals(inputs, bundle_k2d3)
+
+    def test_bundle_must_match_the_inputs(self, bundle_k2d3):
+        planar = CorrectorInputs(
+            rho=1.3, grad_rho=np.array([0.7, -0.2]), u=np.array([0.0, 1.0]),
+            grad_u=np.zeros((2, 2)),
+        )
+        with pytest.raises(ValueError, match="dimension 2"):
+            corrector_channel_residuals(planar, bundle_k2d3)
+        spatial = CorrectorInputs(
+            rho=1.3, grad_rho=np.array([0.7, -0.2, 0.0]), u=U3, grad_u=np.zeros((3, 3))
+        )
+        mixed = {**bundle_k2d3, "a": solve_bundle(5.0, 3, 64)["a"]}
+        with pytest.raises(ValueError, match="solved at"):
+            corrector_channel_residuals(spatial, mixed)

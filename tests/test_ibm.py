@@ -466,8 +466,8 @@ def test_degenerate_global_qtensor_gives_no_drift():
 @pytest.mark.parametrize("kernel", ["global", "indicator", "smooth-bump"])
 def test_step_leaves_its_input_untouched(kernel):
     cfg = base_config(N=200, d=2, nu=2.0, D=0.5, R=0.15, kernel=kernel, dt=1e-2, seed=2)
-    first = initial_state(cfg)  # rows in C order
-    second = step(first, cfg, _stream(cfg.seed, 0))  # columns in Fortran order
+    first = initial_state(cfg)  # Fortran columns copied from C-order draws
+    second = step(first, cfg, _stream(cfg.seed, 0))  # step's own Fortran columns
     for t, st in enumerate((first, second), start=1):
         pos, omega = st.positions.copy(), st.orientations.copy()
         new = step(st, cfg, _stream(cfg.seed, t))
@@ -476,6 +476,18 @@ def test_step_leaves_its_input_untouched(kernel):
         for a in (st.positions, st.orientations):
             for b in (new.positions, new.orientations):
                 assert not np.shares_memory(a, b)
+
+
+def test_state_holds_fortran_order_columns():
+    gen = np.random.default_rng(4)
+    rows, omega_rows = gen.random((30, 3)), gen.standard_normal((30, 3))
+    st = ParticleState(rows, omega_rows)
+    for held, given in ((st.positions, rows), (st.orientations, omega_rows)):
+        assert held.flags.f_contiguous and held.dtype == float
+        assert np.array_equal(held, given)
+    cols, omega_cols = np.asfortranarray(rows), np.asfortranarray(omega_rows)
+    kept = ParticleState(cols, omega_cols)
+    assert kept.positions is cols and kept.orientations is omega_cols
 
 
 def test_horizon_shorter_than_one_step_is_rejected():

@@ -13,7 +13,7 @@ from nematic_hydro.macro import (
     step,
 )
 from nematic_hydro.cli_io.output import write_field_snapshot
-from nematic_hydro.macro import _Planes, _check_in_range, _ddx, _split, _stage_rates
+from nematic_hydro.macro import _Planes, _check_in_range, _ddx, _stage_rates
 
 
 def make_fields(n: int, amp: float = 0.3) -> MacroField:
@@ -43,7 +43,8 @@ def _rates(fields: MacroField, coeffs) -> tuple[np.ndarray, np.ndarray]:
     w = _Planes(fields.rho.shape)
     drho = np.empty(fields.rho.shape)
     du = np.empty((fields.u.shape[-1],) + fields.rho.shape)
-    _stage_rates(drho, list(du), fields.rho, _split(fields.u, w), fields.dx, coeffs, w)
+    u = list(np.moveaxis(fields.u, -1, 0))
+    _stage_rates(drho, list(du), fields.rho, u, fields.dx, coeffs, w)
     return drho, np.moveaxis(du, 0, -1)
 
 
@@ -306,15 +307,29 @@ def test_rates_match_rolled_reference(dim, coeffs_k4d2, coeffs_k2d3):
 
 
 def test_component_major_input_steps_bitwise_like_c_stacked(coeffs_k4d2):
-    F = make_fields(32)
-    major = np.moveaxis(np.ascontiguousarray(np.moveaxis(F.u, -1, 0)), 0, -1)
-    assert major[..., 0].flags.c_contiguous and not F.u[..., 0].flags.c_contiguous
+    F0 = make_fields(32)
+    stacked = np.ascontiguousarray(F0.u)
+    major = np.moveaxis(np.ascontiguousarray(np.moveaxis(stacked, -1, 0)), 0, -1)
+    assert major[..., 0].flags.c_contiguous and not stacked[..., 0].flags.c_contiguous
+    F = MacroField(rho=F0.rho, u=stacked, dx=F0.dx)
+    assert F.u[..., 0].flags.c_contiguous  # the field holds u component-major
     cfg = MacroConfig(coefficients=coeffs_k4d2, dt=1e-5)
     a, b = step(F, cfg), step(MacroField(rho=F.rho, u=major, dx=F.dx), cfg)
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
     assert a.u[..., 1].flags.c_contiguous  # the stepper returns u component-major
     c, e = step(a, cfg), step(MacroField(rho=a.rho, u=np.ascontiguousarray(a.u), dx=a.dx), cfg)
     assert np.array_equal(c.rho, e.rho) and np.array_equal(c.u, e.u)
+
+
+def test_field_holds_u_component_major():
+    F0 = make_fields(16)
+    stacked = np.ascontiguousarray(F0.u)
+    F = MacroField(rho=F0.rho, u=stacked, dx=F0.dx)
+    assert np.array_equal(F.u, stacked)
+    assert all(F.u[..., i].flags.c_contiguous for i in range(2))
+    major = np.moveaxis(np.ascontiguousarray(np.moveaxis(stacked, -1, 0)), 0, -1)
+    G = MacroField(rho=F0.rho, u=major, dx=F0.dx)
+    assert np.shares_memory(G.u, major) and np.array_equal(G.u, stacked)
 
 
 def test_snapshot_bytes_independent_of_direction_layout(coeffs_k4d2, tmp_path):
