@@ -22,8 +22,9 @@ Randomness is counter-based.  Step t of a run draws its (N, d) standard
 normal table from a fresh Philox-4x64 bit generator keyed (seed, t); row i
 of the table belongs to particle i.  Each draw is a pure function of
 (seed, t, N, d), so runs are bit-reproducible and restartable and the
-update never depends on the order particles are visited in.  The initial
-state uses the reserved stream index 2**64 - 1.
+update never depends on the order particles are visited in.  Two indices
+are reserved beyond any step count: _INIT_STREAM = 2**64 - 1 draws the
+initial state, _CROSS_STREAM = 2**64 - 2 that of particle_vs_macro.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ KERNELS = ("indicator", "smooth-bump", "global")
 ORIENT_TOL = 1e-10
 
 _INIT_STREAM = 2**64 - 1
+_CROSS_STREAM = 2**64 - 2
 
 
 def _is_integer(value: object) -> bool:
@@ -185,7 +187,7 @@ def _squared_lengths(components: Iterable[np.ndarray]) -> np.ndarray:
     return partial[0] + partial[1]
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-particle dot products, summed column by column.
 
     a is (N, d); b is (N, d) or one d-vector shared by every particle.
@@ -198,7 +200,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _normalize(vectors: np.ndarray) -> np.ndarray:
     """Scale each row of vectors to unit length, in place."""
-    norms = np.sqrt(_dots(vectors, vectors))
+    norms = np.sqrt(_row_dots(vectors, vectors))
     if norms.min() < 1e-6:
         raise ArithmeticError(
             "orientation update collapsed to the origin; "
@@ -310,7 +312,7 @@ def _drift(
     The drift is even in obar, so the eigenvector sign chosen by the
     decomposition cannot influence the dynamics.
     """
-    c = _dots(omega, obar)[:, None]
+    c = _row_dots(omega, obar)[:, None]
     np.multiply(c, omega, out=out)
     np.subtract(obar, out, out=out)
     out *= nu * c
@@ -319,7 +321,7 @@ def _drift(
 
 def _project(omega: np.ndarray, vectors: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Tangential part of vectors at the unit rows of omega, written into out."""
-    np.multiply(_dots(omega, vectors)[:, None], omega, out=out)
+    np.multiply(_row_dots(omega, vectors)[:, None], omega, out=out)
     np.subtract(vectors, out, out=out)
     return out
 

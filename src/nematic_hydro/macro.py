@@ -26,8 +26,8 @@ then tangent to rounding accuracy, not just to O(dx^2).
 
 Time stepping is Heun's method (explicit RK2) with nodewise renormalization
 of u after each stage.  The continuous system preserves |u| = 1 exactly, so
-the pre-projection norm drift per step is O(dt^2); the drift is reported so
-refinement studies can confirm it.
+the pre-projection norm drift per step is O(dt^2); _heun returns the drift
+with the step so refinement studies can confirm it.
 
 The rate assembly works on lists of contiguous component planes rather than
 stacked (..., d) arrays: slicing a stacked array per component is strided
@@ -55,7 +55,6 @@ __all__ = [
     "MacroField",
     "appendix_identity_residual",
     "auxiliary_operator_checks",
-    "preprojection_drift",
     "rotate_quarter_turn",
     "step",
 ]
@@ -203,19 +202,6 @@ def _grad(f: np.ndarray, d: int, dx: float) -> np.ndarray:
     """Centered gradient of a field on a d-axis lattice, trailing axes its
     components: [..., i, *c] = d_i f[..., *c] (the identity checks' route)."""
     return np.stack([_ddx(f, i) for i in range(d)], axis=d) / (2.0 * dx)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the trailing component axis."""
-    out = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
-
-
-def _tangent(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exact nodewise projection of v orthogonally to u."""
-    return v - u * _dot(u, v)[..., None]
 
 
 def _empty(shape: tuple[int, ...]) -> np.ndarray:
@@ -439,6 +425,10 @@ def _unit_defect(norms: np.ndarray) -> float:
 
 
 def _heun(fields: MacroField, config: MacroConfig) -> tuple[MacroField, float]:
+    """The step and the largest | |u|-1 | of its stage combinations before
+    renormalizing.  The stage slopes are tangent, so |u + dt k|^2 =
+    1 + dt^2 |k|^2 and the drift shrinks at O(dt^2) under time-step
+    refinement (the Euler predictor dominates)."""
     coeffs, dt, dx = config.coefficients, config.dt, fields.dx
     rho0 = fields.rho
     w = config._planes_for(rho0.shape)
@@ -477,7 +467,8 @@ def _heun(fields: MacroField, config: MacroConfig) -> tuple[MacroField, float]:
     return out, drift
 
 
-def _check_step_preconditions(fields: MacroField, config: MacroConfig) -> None:
+def step(fields: MacroField, config: MacroConfig) -> MacroField:
+    """One Heun step; u is renormalized nodewise after each stage."""
     if fields.spatial_dim != config.coefficients.d:
         raise ValueError(
             f"field dimension {fields.spatial_dim} does not match the "
@@ -489,26 +480,7 @@ def _check_step_preconditions(fields: MacroField, config: MacroConfig) -> None:
             f"dt={config.dt:.3e} exceeds the diffusive bound "
             f"{bound:.3e} (= {config.cfl_safety:g} * dx^2 / c_max)"
         )
-
-
-def step(fields: MacroField, config: MacroConfig) -> MacroField:
-    """One Heun step; u is renormalized nodewise after each stage."""
-    _check_step_preconditions(fields, config)
-    out, _ = _heun(fields, config)
-    return out
-
-
-def preprojection_drift(fields: MacroField, config: MacroConfig) -> float:
-    """Largest | |u|-1 | across the stage combinations, before renormalizing.
-
-    The continuous flow keeps |u| = 1 and the stage slopes are tangent, so
-    |u + dt k|^2 = 1 + dt^2 |k|^2 and the drift shrinks at O(dt^2) under
-    time-step refinement (the Euler predictor dominates; the corrector
-    combination alone cancels further, to O(dt^4)).
-    """
-    _check_step_preconditions(fields, config)
-    _, drift = _heun(fields, config)
-    return drift
+    return _heun(fields, config)[0]
 
 
 def rotate_quarter_turn(fields: MacroField) -> MacroField:
@@ -528,6 +500,22 @@ def rotate_quarter_turn(fields: MacroField) -> MacroField:
     return replace(fields, rho=rho_r, u=u_new)
 
 
+def _frame(u: np.ndarray, dx: float) -> tuple:
+    """Centered derivatives shared by the identity checks of a unit field u:
+    (gu, curv, proj, b_mat, grad_b, p_div_b), with gu[..., i, j] = d_i u_j,
+    curv = (u.grad)u, proj = P, b_mat = B = P grad u,
+    grad_b[..., p, j, i] = d_p B_ji and p_div_b = P div B."""
+    d = u.shape[-1]
+    gu = _grad(u, d, dx)
+    curv = np.einsum("...i,...ij->...j", u, gu)
+    proj = np.eye(d) - u[..., :, None] * u[..., None, :]
+    b_mat = gu - u[..., :, None] * curv[..., None, :]
+    grad_b = _grad(b_mat, d, dx)
+    div_b = sum(grad_b[..., i, i, :] for i in range(d))
+    p_div_b = np.einsum("...ij,...j->...i", proj, div_b)
+    return gu, curv, proj, b_mat, grad_b, p_div_b
+
+
 def appendix_identity_residual(u: np.ndarray, dx: float) -> np.ndarray:
     """Pointwise defect of the projected-divergence decomposition.
 
@@ -543,20 +531,11 @@ def appendix_identity_residual(u: np.ndarray, dx: float) -> np.ndarray:
     under grid refinement.
     """
     u = np.asarray(u, dtype=float)
-    d = u.shape[-1]
-    gu = _grad(u, d, dx)
-    curv = np.einsum("...i,...ij->...j", u, gu)
-    b_mat = gu - u[..., :, None] * curv[..., None, :]
-
-    # grad_b[..., p, j, i] = d_p (P grad u)_{j i}
-    grad_b = _grad(b_mat, d, dx)
-    lhs_projected = _tangent(u, sum(grad_b[..., i, i, :] for i in range(d)))
-    proj = np.eye(d) - u[..., :, None] * u[..., None, :]
+    gu, curv, proj, b_mat, grad_b, p_div_b = _frame(u, dx)
     trace12 = np.einsum("...jp,...pji->...i", proj, grad_b)
-
     transport = np.einsum("...l,...li->...i", curv, gu)
     frobenius = np.einsum("...ij,...ij->...", b_mat, b_mat)
-    defect = trace12 - (lhs_projected + transport - u * frobenius[..., None])
+    defect = trace12 - (p_div_b + transport - u * frobenius[..., None])
     return np.linalg.norm(defect, axis=-1)
 
 
@@ -569,11 +548,11 @@ def _sigma_field(proj: np.ndarray) -> np.ndarray:
 
 
 def auxiliary_operator_checks(
-    u: np.ndarray, dx: float, rho: np.ndarray | None = None
+    u: np.ndarray, dx: float, rho: np.ndarray
 ) -> dict[str, float]:
     """Max finite-difference residual of each contraction identity.
 
-    Checks, for a smooth unit field u (and density rho where stated):
+    Checks, for a smooth unit field u and a density rho:
       div_u_trace          div u = Tr(P grad u)
       tangent_curvature    (grad u) u = grad(|u|^2)/2 = 0, product form
       sigma_grad_u         Sig:grad u = (div u)P + P(grad u)P + P(grad u)^T P
@@ -587,11 +566,8 @@ def auxiliary_operator_checks(
     """
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
-    gu = _grad(u, d, dx)
+    gu, curv, proj, b_mat, _, p_div_b = _frame(u, dx)
     div_u = np.einsum("...ii->...", gu)
-    curv = np.einsum("...i,...ij->...j", u, gu)
-    proj = np.eye(d) - u[..., :, None] * u[..., None, :]
-    b_mat = gu - u[..., :, None] * curv[..., None, :]
     sig = _sigma_field(proj)
 
     report: dict[str, float] = {}
@@ -599,7 +575,7 @@ def auxiliary_operator_checks(
     trace_b = np.einsum("...ii->...", b_mat)
     report["div_u_trace"] = float(np.abs(div_u - trace_b).max())
 
-    norm_grad = 0.5 * _grad(_dot(u, u), d, dx)
+    norm_grad = 0.5 * _grad(np.square(u).sum(axis=-1), d, dx)
     report["tangent_curvature"] = float(np.abs(norm_grad).max())
 
     lhs = np.einsum("...ijkl,...kl->...ij", sig, gu)
@@ -616,14 +592,11 @@ def auxiliary_operator_checks(
             + np.einsum("...k,...kj->...j", p_vec, gu)
         )
 
-    if rho is not None:
-        gr = _grad(np.asarray(rho, dtype=float), d, dx)
-        lhs_v = np.einsum("...ijkl,...ij,...k->...l", sig, gu, gr)
-        p_gr = np.einsum("...ij,...j->...i", proj, gr)
-        rhs_v = three_term(p_gr, gr)
-        report["sigma_gradu_gradrho"] = float(
-            np.linalg.norm(lhs_v - rhs_v, axis=-1).max()
-        )
+    gr = _grad(np.asarray(rho, dtype=float), d, dx)
+    lhs_v = np.einsum("...ijkl,...ij,...k->...l", sig, gu, gr)
+    p_gr = np.einsum("...ij,...j->...i", proj, gr)
+    rhs_v = three_term(p_gr, gr)
+    report["sigma_gradu_gradrho"] = float(np.linalg.norm(lhs_v - rhs_v, axis=-1).max())
 
     lhs_c = np.einsum("...ijkl,...ij,...k->...l", sig, gu, curv)
     rhs_c = three_term(curv, curv)
@@ -632,9 +605,6 @@ def auxiliary_operator_checks(
     # hess[..., i, j, k] = d_i d_j u_k by composed centered differences
     hess = _grad(gu, d, dx)
     lhs_h = np.einsum("...ijkl,...ijk->...l", sig, hess)
-    grad_b = _grad(b_mat, d, dx)
-    div_b = sum(grad_b[..., i, i, :] for i in range(d))
-    p_div_b = np.einsum("...ij,...j->...i", proj, div_b)
     p_curv = np.einsum("...ij,...j->...i", proj, curv)
     p_grad_div = np.einsum("...ij,...j->...i", proj, _grad(div_u, d, dx))
     rhs_h = (

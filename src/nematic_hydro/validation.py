@@ -24,6 +24,7 @@ from .gci.corrector import gci_vector
 from .gci.equilibrium import make_equilibrium
 from .gci.radial import RadialSolution
 from .ibm import (
+    _CROSS_STREAM,
     IbmConfig,
     ParticleState,
     coarse_grain,
@@ -482,7 +483,7 @@ def particle_vs_macro(
     d = config.d
     coefficients = compute_coefficients(solve_bundle(kappa, d, 1024))
 
-    gen = _stream(config.seed, 2**64 - 2)
+    gen = _stream(config.seed, _CROSS_STREAM)
     u0 = np.zeros(d)
     u0[1] = 1.0
     positions = gen.random((config.N, d)) * config.box_length
