@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..constants import step_count
+from ..constants import step_count, stream
 from ..gci.coefficients import compute_coefficients
 from ..gci.corrector import CorrectorInputs, corrector_channel_residuals
 from ..gci.radial import solve_bundle
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiscale toolkit for nematically aligning self-propelled particles.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("coeffs", "ibm", "kinetic", "macro", "validate"):
+    for name in _RUNS:
         p = sub.add_parser(name)
         if name == "validate":
             p.add_argument("--config", type=Path, default=None)
@@ -81,31 +81,22 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, str]:
     return cfg, serialize_config(cfg.with_overrides(out="."))
 
 
-def _prepare_out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_meta(out: Path, cfg_text: str, started: str) -> None:
+def _write_meta(out: Path, cfg_text: str, chash: str, started: str) -> None:
     """The one timestamped file, kept apart from the deterministic data."""
     write_json(out / "run_meta.json", {
         "started_utc": started,
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "canonical_config": cfg_text,
-        "config_sha256": config_hash(cfg_text),
+        "config_sha256": chash,
     })
 
 
-def _run_coeffs(cfg: RunConfig, cfg_text: str, out: Path) -> None:
-    p = cfg.params
-    emit_coefficient_table(
-        p["kappas"], p["ds"], out / "coefficients.csv", config_hash(cfg_text), n=p["n"]
-    )
+# Every run takes (params, config hash, output directory, parsed arguments).
+def _run_coeffs(p: dict, chash: str, out: Path, args: argparse.Namespace) -> None:
+    emit_coefficient_table(p["kappas"], p["ds"], out / "coefficients.csv", chash, n=p["n"])
 
 
-def _run_ibm(cfg: RunConfig, cfg_text: str, out: Path) -> None:
-    p = cfg.params
+def _run_ibm(p: dict, chash: str, out: Path, args: argparse.Namespace) -> None:
     ibm_cfg = IbmConfig(
         N=p["N"], d=p["d"], nu=p["nu"], D=p["D"], R=p["R"], kernel=p["kernel"],
         box_length=p["box_length"], dt=p["dt"], seed=p["seed"],
@@ -118,7 +109,6 @@ def _run_ibm(cfg: RunConfig, cfg_text: str, out: Path) -> None:
     rows = np.array(
         [[ob.time, ob.order_parameter, *ob.qtensor.ravel()] for ob in observations]
     )
-    chash = config_hash(cfg_text)
     write_csv(out / "observations.csv", header, rows)
     write_sidecar(out / "observations.csv", chash, {"columns": header})
     write_observation_binary(out / "observations.bin", p["N"], d, p["dt"], rows)
@@ -133,15 +123,13 @@ def _run_ibm(cfg: RunConfig, cfg_text: str, out: Path) -> None:
         write_sidecar(out / "coarse_u.npy", chash)
 
 
-def _run_kinetic(cfg: RunConfig, cfg_text: str, out: Path) -> None:
-    p = cfg.params
+def _run_kinetic(p: dict, chash: str, out: Path, args: argparse.Namespace) -> None:
     f0 = bump_density(p["n"], p["d"], center=p["center"], width=p["width"])
     rows = relaxation_series(
         f0, p["kappa"], p["D"], p["dt"], p["T"],
         n_samples=p["n_samples"], u_policy=p["u_policy"],
     )
     header = ["time", "l1_distance", "dissipation", "quadratic_entropy"]
-    chash = config_hash(cfg_text)
     write_csv(out / "relaxation.csv", header, rows)
     write_sidecar(out / "relaxation.csv", chash, {"columns": header})
 
@@ -164,19 +152,17 @@ def _initial_macro_field(p: dict) -> MacroField:
     return MacroField(rho=rho, u=u, dx=dx)
 
 
-def _run_macro(cfg: RunConfig, cfg_text: str, out: Path, coeffs_path) -> None:
-    p = cfg.params
+def _run_macro(p: dict, chash: str, out: Path, args: argparse.Namespace) -> None:
     kappa, d = p["kappa"], p["d"]
     field = _initial_macro_field(p)
     field.validate()  # a non-positive initial density is a config error
-    if coeffs_path is not None:
-        coefficients = load_coefficient_row(coeffs_path, kappa, d)
+    if args.coeffs is not None:
+        coefficients = load_coefficient_row(args.coeffs, kappa, d)
     else:
         coefficients = compute_coefficients(solve_bundle(kappa, d, p["n_profile"]))
     macro_cfg = MacroConfig.at_cfl(coefficients, field.dx, p["cfl_safety"])
     n_steps = step_count(p["T"], macro_cfg.dt)
     snap_at = sorted(set(np.linspace(0, n_steps, p["snapshots"] + 1).round().astype(int)))
-    chash = config_hash(cfg_text)
     mid = (slice(None),) + (p["grid_n"] // 2,) * (d - 1)
     x1 = (np.arange(p["grid_n"]) + 0.5) * field.dx
 
@@ -222,7 +208,7 @@ def _validate_scaling(p: dict) -> _SuiteResult:
 def _validate_gci(p: dict) -> _SuiteResult:
     kappa, d = p["kappa"], p["d"]
     h_sol = solve_bundle(kappa, d, p["n"])["h"]
-    gen = np.random.Generator(np.random.Philox(key=np.array([p["seed"], 0], dtype=np.uint64)))
+    gen = stream(p["seed"], 0)
     rows = []
     for trial in range(p["trials"]):
         axis = gen.standard_normal(d)
@@ -266,8 +252,8 @@ def _validate_corrector(p: dict) -> _SuiteResult:
 
 
 def _validate_equilibrium(p: dict) -> _SuiteResult:
-    ibm_cfg = IbmConfig(
-        N=p["N"], d=2, nu=p["nu"], D=p["D"], R=p["R"],
+    ibm_cfg = IbmConfig(  # the global kernel reads no radius
+        N=p["N"], d=2, nu=p["nu"], D=p["D"], R=math.inf,
         kernel="global", dt=p["dt"], seed=p["seed"],
     )
     stats = ibm_equilibrium_statistics(ibm_cfg, p["T"])
@@ -309,14 +295,23 @@ _SUITES = {
 }
 
 
-def _run_validate(cfg: RunConfig, cfg_text: str, out: Path, suite: str) -> None:
+def _run_validate(p: dict, chash: str, out: Path, args: argparse.Namespace) -> None:
     """<suite>_report.json and <suite>_curve.csv, each with its sidecar."""
-    chash = config_hash(cfg_text)
-    report, header, rows = _SUITES[suite](cfg.params)
+    suite = args.suite
+    report, header, rows = _SUITES[suite](p)
     write_json(out / f"{suite}_report.json", {"suite": suite, **report})
     write_csv(out / f"{suite}_curve.csv", header, rows)
     write_sidecar(out / f"{suite}_curve.csv", chash)
     write_sidecar(out / f"{suite}_report.json", chash)
+
+
+_RUNS = {
+    "coeffs": _run_coeffs,
+    "ibm": _run_ibm,
+    "kinetic": _run_kinetic,
+    "macro": _run_macro,
+    "validate": _run_validate,
+}
 
 
 def main(argv=None) -> int:
@@ -325,18 +320,11 @@ def main(argv=None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         cfg, cfg_text = _load_config(args)
-        out = _prepare_out(cfg)
-        if args.subcommand == "coeffs":
-            _run_coeffs(cfg, cfg_text, out)
-        elif args.subcommand == "ibm":
-            _run_ibm(cfg, cfg_text, out)
-        elif args.subcommand == "kinetic":
-            _run_kinetic(cfg, cfg_text, out)
-        elif args.subcommand == "macro":
-            _run_macro(cfg, cfg_text, out, args.coeffs)
-        else:
-            _run_validate(cfg, cfg_text, out, args.suite)
-        _write_meta(out, cfg_text, started)
+        chash = config_hash(cfg_text)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _RUNS[args.subcommand](cfg.params, chash, out, args)
+        _write_meta(out, cfg_text, chash, started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

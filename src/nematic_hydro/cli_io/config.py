@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
+from ..ibm import KERNELS
+from ..kinetic import U_POLICIES
+
 Value = Union[int, float, str, tuple]
 
 
@@ -59,8 +62,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "R": FieldSpec("real", required=True, positive=True),
         "dt": FieldSpec("real", required=True, positive=True),
         "T": FieldSpec("real", required=True, positive=True),
-        "kernel": FieldSpec("string", default="indicator",
-                            choices=("indicator", "smooth-bump", "global")),
+        "kernel": FieldSpec("string", default="indicator", choices=KERNELS),
         "box_length": FieldSpec("real", default=1.0, positive=True),
         "observe_every": FieldSpec("int", default=10, positive=True),
         "coarse_grid": FieldSpec("int", default=0, nonnegative=True),
@@ -77,8 +79,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "center": FieldSpec("real", default=0.3, nonnegative=True),
         "width": FieldSpec("real", default=0.2, positive=True),
         "n_samples": FieldSpec("int", default=40, positive=True),
-        "u_policy": FieldSpec("string", default="fixed",
-                              choices=("fixed", "self-consistent")),
+        "u_policy": FieldSpec("string", default="fixed", choices=U_POLICIES),
     },
     "macro": {
         **_COMMON,
@@ -103,7 +104,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "N": FieldSpec("int", default=10_000, positive=True),
         "T": FieldSpec("real", default=20.0, positive=True),
         "dt": FieldSpec("real", default=1e-3, positive=True),
-        "R": FieldSpec("real", default=0.4, positive=True),
         "nu": FieldSpec("real", default=4.0, nonnegative=True),
         "D": FieldSpec("real", default=1.0, positive=True),
         "cross_N": FieldSpec("int", default=100_000, positive=True),

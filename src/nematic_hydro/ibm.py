@@ -19,12 +19,11 @@ single d-vector shared by every particle; the local kernels give one
 direction per particle, held as (N, d) columns as well.
 
 Randomness is counter-based.  Step t of a run draws its (N, d) standard
-normal table from a fresh Philox-4x64 bit generator keyed (seed, t); row i
+normal table from the fresh generator constants.stream(seed, t); row i
 of the table belongs to particle i.  Each draw is a pure function of
 (seed, t, N, d), so runs are bit-reproducible and restartable and the
-update never depends on the order particles are visited in.  Two indices
-are reserved beyond any step count: _INIT_STREAM = 2**64 - 1 draws the
-initial state, _CROSS_STREAM = 2**64 - 2 that of particle_vs_macro.
+update never depends on the order particles are visited in.  The initial
+state draws from the reserved index constants.INIT_STREAM.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .constants import step_count
+from .constants import INIT_STREAM, step_count, stream
 from .qtensor import (
     DegenerateLeadingEigenvalue,
     leading_direction,
@@ -46,9 +45,6 @@ KERNELS = ("indicator", "smooth-bump", "global")
 
 # Orientations must stay unit vectors to this tolerance after each step.
 ORIENT_TOL = 1e-10
-
-_INIT_STREAM = 2**64 - 1
-_CROSS_STREAM = 2**64 - 2
 
 
 def _is_integer(value: object) -> bool:
@@ -151,12 +147,6 @@ class Observation:
     time: float
     qtensor: np.ndarray
     order_parameter: float
-
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one step of one run (Philox-4x64 keyed)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _wrap(positions: np.ndarray, box_length: float) -> np.ndarray:
@@ -375,7 +365,7 @@ def step(
 
 def initial_state(config: IbmConfig) -> ParticleState:
     """Uniform positions and isotropic orientations from the reserved stream."""
-    gen = _stream(config.seed, _INIT_STREAM)
+    gen = stream(config.seed, INIT_STREAM)
     positions = config.box_length * gen.random((config.N, config.d))
     orientations = _normalize(gen.standard_normal((config.N, config.d)))
     return ParticleState(positions, orientations, 0.0)
@@ -403,7 +393,7 @@ def run(
     state = initial_state(config)
     observations = [_observe(state)]
     for t in range(n_steps):
-        state = step(state, config, _stream(config.seed, t))
+        state = step(state, config, stream(config.seed, t))
         if (t + 1) % observe_every == 0 or t + 1 == n_steps:
             observations.append(_observe(state))
     return observations, state

@@ -38,6 +38,10 @@ from .sphere import angle_weight_norm
 
 MASS_TOL = 1e-10
 
+# "fixed" keeps the equilibrium axis; "self-consistent" requires the mean
+# direction of f to stay on it
+U_POLICIES = ("fixed", "self-consistent")
+
 
 @lru_cache(maxsize=None)
 def _cell_integrals(n: int, d: int, cos_power: int) -> np.ndarray:
@@ -155,10 +159,10 @@ def _axis_alignment_gap(f: AngularDensity) -> float:
 
 
 def _resolve_axis(f: AngularDensity, u_policy: str) -> None:
+    if u_policy not in U_POLICIES:
+        raise ValueError(f"unknown u_policy {u_policy!r}")
     if u_policy == "fixed":
         return
-    if u_policy != "self-consistent":
-        raise ValueError(f"unknown u_policy {u_policy!r}")
     gap = _axis_alignment_gap(f)
     if gap < GAP_FLOOR:
         raise DegenerateLeadingEigenvalue(

@@ -19,19 +19,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import step_count
+from .constants import CROSS_STREAM, step_count, stream
 from .gci.corrector import gci_vector
 from .gci.equilibrium import make_equilibrium
 from .gci.radial import RadialSolution
-from .ibm import (
-    _CROSS_STREAM,
-    IbmConfig,
-    ParticleState,
-    coarse_grain,
-    run,
-    step,
-    _stream,
-)
+from .ibm import IbmConfig, ParticleState, coarse_grain, run, step
 from .macro import MacroConfig, MacroField
 from .macro import step as macro_step
 from .qtensor import leading_direction, qtensor_from_orientations
@@ -468,8 +460,9 @@ def particle_vs_macro(
     eps L, and both systems advance to the matched horizon: micro time
     D T_macro / eps^2, with a continuum step at 0.2 of its diffusive bound.
     The continuum coefficients are those at kappa = nu/D, from a radial
-    bundle of 1024 elements.  Distances are recorded at _CROSS_CHECKPOINTS
-    intermediate times.
+    bundle of 1024 elements.  Distances are recorded at up to
+    _CROSS_CHECKPOINTS times, spread over the march with fewer steps so that
+    no two share a step of either march.
     """
     from .gci.coefficients import compute_coefficients
     from .gci.radial import solve_bundle
@@ -483,7 +476,7 @@ def particle_vs_macro(
     d = config.d
     coefficients = compute_coefficients(solve_bundle(kappa, d, 1024))
 
-    gen = _stream(config.seed, _CROSS_STREAM)
+    gen = stream(config.seed, CROSS_STREAM)
     u0 = np.zeros(d)
     u0[1] = 1.0
     positions = gen.random((config.N, d)) * config.box_length
@@ -502,11 +495,10 @@ def particle_vs_macro(
     dt_macro = macro_cfg.dt
 
     n_macro = step_count(T_macro, dt_macro)
-    check_micro = np.unique(
-        np.clip(np.round(np.linspace(1, n_micro, _CROSS_CHECKPOINTS)).astype(int), 1, n_micro)
-    )
-    check_macro = np.clip(
-        np.round(check_micro * (n_macro / n_micro)).astype(int), 1, n_macro
+    n_coarse = min(n_micro, n_macro)
+    coarse = np.unique(np.round(np.linspace(1, n_coarse, _CROSS_CHECKPOINTS)))
+    check_micro, check_macro = (
+        np.round(coarse * (n / n_coarse)).astype(int) for n in (n_micro, n_macro)
     )
 
     times = []
@@ -516,7 +508,7 @@ def particle_vs_macro(
     i_micro = 0
     for cm_micro, cm_macro in zip(check_micro, check_macro):
         while i_micro < cm_micro:
-            state = step(state, config, _stream(config.seed, i_micro))
+            state = step(state, config, stream(config.seed, i_micro))
             i_micro += 1
         while i_macro < cm_macro:
             field = macro_step(field, macro_cfg)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import nematic_hydro
+from nematic_hydro import ibm, kinetic
 from nematic_hydro.cli_io import cli
-from nematic_hydro.cli_io.config import ConfigError, parse_config, serialize_config
+from nematic_hydro.cli_io.config import SCHEMAS, ConfigError, parse_config, serialize_config
 from nematic_hydro.cli_io.output import (
     coefficient_table_rows,
     config_hash,
@@ -97,6 +99,16 @@ class TestConfigParsing:
         assert err.value.line == line
         if line:
             assert f"line {line}:" in str(err.value)
+
+    def test_allowed_values_come_from_their_owners(self):
+        assert SCHEMAS["ibm"]["kernel"].choices is ibm.KERNELS
+        assert SCHEMAS["kinetic"]["u_policy"].choices is kinetic.U_POLICIES
+
+    def test_every_section_has_one_run_and_one_subcommand(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(cli._RUNS) == set(SCHEMAS) == set(sub.choices)
 
 
 class TestOutputFormats:
@@ -248,10 +260,10 @@ class TestMain:
 
     @pytest.mark.parametrize("exc", [CflViolation("dt too large"), ArithmeticError("overflow")])
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch, exc):
-        def boom(cfg, cfg_text, out):
+        def boom(p, chash, out, args):
             raise exc
 
-        monkeypatch.setattr(cli, "_run_kinetic", boom)
+        monkeypatch.setitem(cli._RUNS, "kinetic", boom)
         cfg = write_cfg(tmp_path, KINETIC_TEXT)
         assert cli.main(["kinetic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -279,15 +291,12 @@ class TestMain:
         assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "shorter than one step" in capsys.readouterr().err
 
-    def test_validate_equilibrium_accepts_radius_beyond_half_box(self, tmp_path):
-        # the global kernel never reads R
-        cfg = write_cfg(tmp_path, "[validate]\nN = 200\nT = 0.01\nR = 0.5\n")
-        out = tmp_path / "o"
-        code = cli.main(
-            ["validate", "--suite", "equilibrium", "--config", str(cfg), "--out", str(out)]
-        )
-        assert code == 0
-        assert (out / "equilibrium_report.json").exists()
+    def test_validate_has_no_radius_key(self, tmp_path, capsys):
+        # the equilibrium suite runs the global kernel, which reads no radius
+        cfg = write_cfg(tmp_path, "[validate]\nR = 0.4\n")
+        argv = ["validate", "--suite", "equilibrium", "--config", str(cfg)]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "[unknown-key]" in capsys.readouterr().err
 
     def test_seed_override_changes_config_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, IBM_TEXT)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from nematic_hydro import ibm
-from nematic_hydro.constants import GAP_FLOOR, step_count
+from nematic_hydro.constants import GAP_FLOOR, step_count, stream
 from nematic_hydro.ibm import (
     IbmConfig,
     ParticleState,
@@ -15,7 +15,6 @@ from nematic_hydro.ibm import (
     _mean_directions,
     _min_image,
     _squared_lengths,
-    _stream,
     _wrap,
     coarse_grain,
     initial_state,
@@ -84,7 +83,7 @@ def test_two_particles_align_monotonically():
     for t in range(600):
         o = state.orientations
         angles.append(math.acos(min(1.0, abs(float(o[0] @ o[1])))))
-        state = step(state, cfg, _stream(cfg.seed, t))
+        state = step(state, cfg, stream(cfg.seed, t))
     assert all(b <= a + 1e-12 for a, b in zip(angles, angles[1:]))
     # self-propulsion carries the pair in and out of interaction range, so
     # only substantial decay is guaranteed, not a fixed rate
@@ -114,12 +113,20 @@ def test_single_particle_moves_at_unit_speed():
     cfg = base_config(N=1, d=3, nu=2.0, D=0.5, R=0.1, dt=1e-3, seed=9)
     prev = initial_state(cfg)
     for t in range(150):
-        nxt = step(prev, cfg, _stream(cfg.seed, t))
+        nxt = step(prev, cfg, stream(cfg.seed, t))
         dx = nxt.positions - prev.positions
         dx -= np.round(dx)  # undo the periodic wrap
         assert abs(np.linalg.norm(dx) / cfg.dt - 1.0) < 1e-12
         prev = nxt
     assert abs(np.linalg.norm(prev.orientations[0]) - 1.0) < 1e-9
+
+
+def test_stream_is_philox_keyed_seed_and_index():
+    # the key layout the benchmark's particle-step check rebuilds on its own
+    for seed, index in ((0, 0), (7, 12), (3, 2**64 - 1)):
+        ref = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        draws = stream(seed, index).standard_normal((5, 3))
+        assert np.array_equal(draws, ref.standard_normal((5, 3)))
 
 
 def test_run_is_deterministic():
@@ -245,7 +252,7 @@ def test_invariants_hold_along_trajectory():
     cfg = base_config(N=200, kernel="global", nu=1.0, D=0.25, dt=4e-3, seed=11)
     st = initial_state(cfg)
     for t in range(50):
-        st = step(st, cfg, _stream(cfg.seed, t))
+        st = step(st, cfg, stream(cfg.seed, t))
     st.validate(cfg.box_length)
     assert st.time == pytest.approx(50 * cfg.dt)
 
@@ -257,7 +264,7 @@ def test_noise_only_relaxes_to_uniform_marginal():
     # the slowest angular mode decays like exp(-D t); T = 6 leaves only
     # sampling noise at N = 5000
     for t in range(600):
-        st = step(st, cfg, _stream(cfg.seed, t))
+        st = step(st, cfg, stream(cfg.seed, t))
     ks = kstest(
         st.orientations[:, 0],
         lambda v: 1.0 - np.arccos(np.clip(v, -1, 1)) / np.pi,
@@ -309,7 +316,7 @@ def test_run_returns_the_final_state_of_the_seeded_march():
     obs, final = run(cfg, T=0.05, observe_every=4)
     state = initial_state(cfg)
     for t in range(10):
-        state = step(state, cfg, _stream(cfg.seed, t))
+        state = step(state, cfg, stream(cfg.seed, t))
     assert final.time == state.time == obs[-1].time
     assert np.array_equal(final.positions, state.positions)
     assert np.array_equal(final.orientations, state.orientations)
@@ -437,8 +444,8 @@ def test_step_matches_row_form_reference(kernel, d):
     st = initial_state(cfg)
     for t in range(3):
         # both steppers start each step from the same state
-        ref = _reference_step(st, cfg, _stream(cfg.seed, t))
-        new = step(st, cfg, _stream(cfg.seed, t))
+        ref = _reference_step(st, cfg, stream(cfg.seed, t))
+        new = step(st, cfg, stream(cfg.seed, t))
         assert np.array_equal(new.positions, ref.positions)
         assert np.abs(new.orientations - ref.orientations).max() <= STEP_REFERENCE_TOL
         assert new.time == ref.time
@@ -450,16 +457,16 @@ def test_degenerate_global_qtensor_gives_no_drift():
     # two orthogonal particles: Q = 0, so there is no mean direction
     st = ParticleState(np.array([[0.2, 0.3], [0.7, 0.1]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     quiet = base_config(N=2, nu=1.0, D=0.0, kernel="global", seed=4)
-    new = step(st, quiet, _stream(quiet.seed, 0))
+    new = step(st, quiet, stream(quiet.seed, 0))
     assert np.array_equal(new.orientations, st.orientations)
-    assert np.array_equal(new.orientations, _reference_step(st, quiet, _stream(4, 0)).orientations)
+    assert np.array_equal(new.orientations, _reference_step(st, quiet, stream(4, 0)).orientations)
     # with noise the step is the pure-diffusion step of the same draws
     noisy = base_config(N=2, nu=1.0, D=0.5, kernel="global", seed=4)
     free = base_config(N=2, nu=0.0, D=0.5, kernel="global", seed=4)
-    a = step(st, noisy, _stream(4, 0))
-    b = step(st, free, _stream(4, 0))
+    a = step(st, noisy, stream(4, 0))
+    b = step(st, free, stream(4, 0))
     assert np.array_equal(a.orientations, b.orientations)
-    ref = _reference_step(st, noisy, _stream(4, 0))
+    ref = _reference_step(st, noisy, stream(4, 0))
     assert np.abs(a.orientations - ref.orientations).max() <= STEP_REFERENCE_TOL
 
 
@@ -467,10 +474,10 @@ def test_degenerate_global_qtensor_gives_no_drift():
 def test_step_leaves_its_input_untouched(kernel):
     cfg = base_config(N=200, d=2, nu=2.0, D=0.5, R=0.15, kernel=kernel, dt=1e-2, seed=2)
     first = initial_state(cfg)  # Fortran columns copied from C-order draws
-    second = step(first, cfg, _stream(cfg.seed, 0))  # step's own Fortran columns
+    second = step(first, cfg, stream(cfg.seed, 0))  # step's own Fortran columns
     for t, st in enumerate((first, second), start=1):
         pos, omega = st.positions.copy(), st.orientations.copy()
-        new = step(st, cfg, _stream(cfg.seed, t))
+        new = step(st, cfg, stream(cfg.seed, t))
         assert np.array_equal(st.positions, pos)
         assert np.array_equal(st.orientations, omega)
         for a in (st.positions, st.orientations):

@@ -188,6 +188,14 @@ class TestCrossScale:
         assert rep.final_density_distance < 0.8
         assert np.all(np.asarray(rep.direction_distances) < np.pi / 4)
 
+    def test_checkpoints_distinct_when_continuum_march_is_coarser(self):
+        # 10 particle steps against 2 continuum steps: each checkpoint is its
+        # own step on both marches
+        cfg = IbmConfig(N=2000, d=2, nu=4.0, D=1.0, R=0.1, box_length=10.0, dt=0.002)
+        rep = particle_vs_macro(cfg, eps=0.1, T_macro=2e-4, grid_n=32)
+        assert len(rep.times) == 2
+        assert np.all(np.diff(rep.times) > 0)
+
     def test_argument_validation(self):
         cfg = IbmConfig(N=100, d=2, nu=4.0, D=1.0, R=0.2, box_length=5.0, dt=0.02)
         with pytest.raises(ValueError):
