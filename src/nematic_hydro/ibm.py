@@ -131,12 +131,12 @@ class ParticleState:
         return self.positions.shape[0]
 
     def validate(self, box_length: float) -> None:
-        """Check the wrap and unit-norm invariants, raising on violation."""
+        """Check the wrap and unit-norm invariants, raising on violation (NaN fails)."""
         norms = np.linalg.norm(self.orientations, axis=1)
         worst = float(np.abs(norms - 1.0).max())
-        if worst > ORIENT_TOL:
+        if not worst <= ORIENT_TOL:
             raise ValueError(f"orientation norms deviate from 1 by {worst:.3e}")
-        if self.positions.min() < 0.0 or self.positions.max() >= box_length:
+        if not (self.positions.min() >= 0.0 and self.positions.max() < box_length):
             raise ValueError("positions must lie in [0, box_length)")
 
 
@@ -191,9 +191,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normalize(vectors: np.ndarray) -> np.ndarray:
     """Scale each row of vectors to unit length, in place."""
     norms = np.sqrt(_row_dots(vectors, vectors))
-    if norms.min() < 1e-6:
+    if not norms.min() >= 1e-6:  # a NaN norm fails too
         raise ArithmeticError(
-            "orientation update collapsed to the origin; "
+            "orientation update collapsed to the origin or is not a number; "
             "the noise step is too large for this dt"
         )
     vectors /= norms[:, None]
@@ -212,10 +212,28 @@ def _kernel_weights(dist2: np.ndarray, config: IbmConfig) -> np.ndarray:
     return w
 
 
+def _upper_pairs(d: int) -> list[tuple[int, int]]:
+    """The pairs a <= b of a d x d upper triangle, row by row, but (d-1, d-1)."""
+    return [(a, b) for a in range(d) for b in range(a, d)][:-1]
+
+
+def _qtensors(moments: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
+    """Q-tensors (n, d, d) from the (k, n) sums of w omega_a omega_b over
+    _upper_pairs(d) and the n sums of w.  Orientations are unit vectors, so
+    the sum for (d-1, d-1) is the weight sum minus the other diagonal sums:
+    Q's last diagonal entry is minus the sum of the others."""
+    Q = np.empty((weights.shape[0], d, d))
+    for (a, b), m in zip(_upper_pairs(d), moments):
+        Q[:, a, b] = Q[:, b, a] = m / weights - (a == b) / d
+    Q[:, -1, -1] = -np.trace(Q[:, :-1, :-1], axis1=1, axis2=2)
+    return Q
+
+
 def _local_moments(
     positions: np.ndarray, orientations: np.ndarray, config: IbmConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel-weighted sums of omega (x) omega and of the weights.
+    """Kernel-weighted sums of omega_a omega_b over _upper_pairs(d), (k, N),
+    and of the weights, (N,).
 
     A periodic k-d tree lists every pair of particles within R once; the
     minimum-image distance and the kernel then decide each pair's weight,
@@ -233,7 +251,8 @@ def _local_moments(
     from scipy.spatial import cKDTree  # slow to import; only the local kernels need it
 
     n, d = positions.shape
-    tree = cKDTree(positions, boxsize=config.box_length)
+    # an unbalanced tree builds faster and finds the same pairs
+    tree = cKDTree(positions, boxsize=config.box_length, balanced_tree=False)
     pairs = tree.query_pairs(config.R * (1.0 + 1e-9), output_type="ndarray")
     i, j = np.ascontiguousarray(pairs.T)
     del pairs
@@ -246,20 +265,18 @@ def _local_moments(
 
     wsum = w_self + np.bincount(i, weights=w, minlength=n)
     wsum += np.bincount(j, weights=w, minlength=n)
-    moments = np.empty((n, d, d))
-    upper = [(a, b) for a in range(d) for b in range(a, d)]
-    for a, b in upper:
-        moments[:, a, b] = w_self * orientations[:, a] * orientations[:, b]
+    upper = _upper_pairs(d)
+    moments = np.empty((len(upper), n))
+    for k, (a, b) in enumerate(upper):
+        moments[k] = w_self * orientations[:, a] * orientations[:, b]
     # each pair adds the other endpoint's orientation to both of its endpoints
     for centre, other in ((i, j), (j, i)):
         om = [orientations[:, a][other] for a in range(d)]
-        for a in range(d):
-            w_a = w * om[a]
-            for b in range(a, d):
-                moments[:, a, b] += np.bincount(centre, weights=w_a * om[b], minlength=n)
+        for k, (a, b) in enumerate(upper):
+            if b == a:  # each row of the triangle starts on the diagonal
+                w_a = w * om[a]
+            moments[k] += np.bincount(centre, weights=w_a * om[b], minlength=n)
         del om, w_a
-    for a, b in upper:
-        moments[:, b, a] = moments[:, a, b]
     return moments, wsum
 
 
@@ -273,9 +290,8 @@ def _mean_directions(
     alignment drift vanishes for them because it is bilinear in the
     direction.
     """
-    d = orientations.shape[1]
     moments, wsum = _local_moments(positions, orientations, config)
-    _, vec, ok = leading_directions(moments / wsum[:, None, None] - np.eye(d) / d)
+    _, vec, ok = leading_directions(_qtensors(moments, wsum, orientations.shape[1]))
     dirs = np.asfortranarray(vec)
     dirs[~ok] = 0.0
     return dirs, ok
@@ -432,17 +448,14 @@ def coarse_grain(
         rho_hat = np.fft.ifftn(np.fft.fftn(rho_hat) * np.exp(-0.5 * bandwidth**2 * k2)).real
 
     omega = state.orientations
-    moments = np.empty((grid_n**d, d, d))
-    for a in range(d):
-        for b in range(a, d):
-            m_ab = np.bincount(cell_id, weights=omega[:, a] * omega[:, b], minlength=grid_n**d)
-            moments[:, a, b] = m_ab
-            moments[:, b, a] = m_ab
+    moments = np.array([
+        np.bincount(cell_id, weights=omega[:, a] * omega[:, b], minlength=grid_n**d)
+        for a, b in _upper_pairs(d)
+    ])
     occupied = counts > 0
     u_hat = np.full((grid_n**d, d), np.nan)
     if occupied.any():
-        Q = moments[occupied] / counts[occupied, None, None] - np.eye(d) / d
-        _, dirs, ok = leading_directions(Q)
+        _, dirs, ok = leading_directions(_qtensors(moments[:, occupied], counts[occupied], d))
         u_hat[occupied] = np.where(ok[:, None], dirs, np.nan)
     return rho_hat, u_hat.reshape(shape + (d,))
 

@@ -39,10 +39,19 @@ def qtensor_from_orientations(orientations: np.ndarray) -> np.ndarray:
 def leading_directions(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leading eigenvalues, unit eigenvectors and gap flags of a batch (..., d, d).
 
-    One symmetric eigensolve for the whole batch.  Returns the leading
-    eigenvalues (...), the leading eigenvectors (..., d) with the solver's
-    signs, and ok (...), True where the spectral gap reaches GAP_FLOOR.
+    Returns the leading eigenvalues (...), the leading eigenvectors (..., d)
+    with either sign, and ok (...), True where the spectral gap reaches
+    GAP_FLOOR.  Only the lower triangle is read.  d = 2 is closed-form: the
+    gap is hypot(Q11 - Q22, 2 Q21), and the vector sits at half the angle of
+    that point, so its first component is positive.  Larger d takes one
+    symmetric eigensolve for the whole batch.
     """
+    if Q.shape[-1] == 2:
+        diff, off = Q[..., 0, 0] - Q[..., 1, 1], 2.0 * Q[..., 1, 0]
+        gap = np.hypot(diff, off)
+        phi = 0.5 * np.arctan2(off, diff)
+        lam = 0.5 * (Q[..., 0, 0] + Q[..., 1, 1]) + 0.5 * gap
+        return lam, np.stack((np.cos(phi), np.sin(phi)), axis=-1), gap >= GAP_FLOOR
     lam, vec = np.linalg.eigh(Q)
     return lam[..., -1], vec[..., :, -1], lam[..., -1] - lam[..., -2] >= GAP_FLOOR
 

@@ -14,6 +14,8 @@ from nematic_hydro.ibm import (
     _local_moments,
     _mean_directions,
     _min_image,
+    _normalize,
+    _qtensors,
     _squared_lengths,
     _wrap,
     coarse_grain,
@@ -201,6 +203,37 @@ def test_tree_keeps_a_pair_at_the_kernel_radius():
     assert np.abs(m1 - m2).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_qtensors_complete_the_last_diagonal(rng, d):
+    # the missing moment is the weight sum minus the other diagonal moments,
+    # so _qtensors matches the Q-tensor of the full weighted second moment
+    omega = rng.standard_normal((300, d))
+    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+    w = rng.random((40, 300))
+    full = np.einsum("pj,ja,jb->pab", w, omega, omega)
+    upper = [(a, b) for a in range(d) for b in range(a, d)][:-1]
+    moments = np.array([full[:, a, b] for a, b in upper])
+    Q = _qtensors(moments, w.sum(axis=1), d)
+    expected = full / w.sum(axis=1)[:, None, None] - np.eye(d) / d
+    assert np.abs(Q - expected).max() < 1e-14
+    assert np.array_equal(Q, Q.transpose(0, 2, 1))
+    assert np.abs(np.trace(Q, axis1=1, axis2=2)).max() < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coarse_grain_directions_match_per_cell_eigensolve(d):
+    cfg = base_config(N=3000, d=d, seed=17)
+    st = initial_state(cfg)
+    grid_n = 3
+    _, u = coarse_grain(st, grid_n, 0.0, 1.0)
+    cells = np.minimum((st.positions * grid_n).astype(int), grid_n - 1)
+    for cell in np.ndindex(*(grid_n,) * d):
+        members = st.orientations[(cells == cell).all(axis=1)]
+        lam, vec = np.linalg.eigh(members.T @ members / len(members) - np.eye(d) / d)
+        assert lam[-1] - lam[-2] >= GAP_FLOOR
+        assert abs(abs(float(vec[:, -1] @ u[cell])) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_squared_lengths_add_even_and_odd_components_apart(rng, d):
     # every neighbour path decides membership at the kernel radius from this
@@ -216,6 +249,32 @@ def test_squared_lengths_add_even_and_odd_components_apart(rng, d):
                 even = x * x if even is None else even + x * x
         expected.append(even + odd)
     assert np.array_equal(_squared_lengths(disp.T), expected)
+
+
+@pytest.mark.parametrize(
+    "positions,orientations,match",
+    [
+        ([[0.5, math.nan]], [[math.nan, 0.0]], "orientation"),
+        ([[0.5, 0.5]], [[math.nan, 0.0]], "orientation"),
+        ([[0.5, math.nan]], [[1.0, 0.0]], "positions"),
+        ([[math.nan, math.nan]], [[0.0, 1.0]], "positions"),
+    ],
+)
+def test_validate_rejects_nan(positions, orientations, match):
+    with pytest.raises(ValueError, match=match):
+        ParticleState(positions, orientations).validate(1.0)
+
+
+def test_normalize_rejects_nan_rows():
+    with pytest.raises(ArithmeticError):
+        _normalize(np.array([[1.0, 0.0], [math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_step_from_a_nan_orientation_raises():
+    cfg = base_config(N=2, nu=0.0, D=0.5)
+    st = ParticleState([[0.2, 0.3], [0.7, 0.1]], [[math.nan, 0.0], [1.0, 0.0]])
+    with pytest.raises(ArithmeticError):
+        step(st, cfg, stream(cfg.seed, 0))
 
 
 def test_wrap_keeps_tiny_negative_coordinates_inside_the_box():
@@ -330,7 +389,12 @@ def test_run_returns_the_final_state_of_the_seeded_march():
 
 
 def _local_moments_dense(positions, orientations, config):
-    """All-pairs reference for _local_moments, chunked over rows to bound memory."""
+    """All-pairs reference for _local_moments, chunked over rows to bound memory.
+
+    Forms every (N, d, d) moment sum and returns the ones _local_moments
+    returns: the upper triangle row by row without its last entry, as (k, N)
+    rows, and the weight sums.
+    """
     n = positions.shape[0]
     d = positions.shape[1]
     moments = np.empty((n, d, d))
@@ -342,7 +406,8 @@ def _local_moments_dense(positions, orientations, config):
         w = _kernel_weights(_squared_lengths(disp.transpose(2, 0, 1)), config)
         moments[s:e] = np.einsum("pj,ja,jb->pab", w, orientations, orientations)
         wsum[s:e] = w.sum(axis=1)
-    return moments, wsum
+    upper = [(a, b) for a in range(d) for b in range(a, d)][:-1]
+    return np.array([moments[:, a, b] for a, b in upper]), wsum
 
 
 def local_mean_direction(state, config, i):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nematic_hydro.constants import GAP_FLOOR
 from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.qtensor import (
     DegenerateLeadingEigenvalue,
@@ -110,3 +111,64 @@ def test_equilibrium_eigenvalues_frozen_values():
     assert abs(lam_par - 2.231949829483e-01) < 1e-11
     lam_par, _ = make_equilibrium(2.0, 3).q_eigenvalues()
     assert abs(lam_par - 9.589737249442e-02) < 1e-11
+
+
+def _two_by_two_cases():
+    """Symmetric 2x2 matrices: random ones with nonzero trace, 0 and c I,
+    gaps just above and just below GAP_FLOOR, and Q12 = +-0 with Q11 < Q22."""
+    rng = np.random.default_rng(20)
+    cases = [a + a.T for a in rng.standard_normal((200, 2, 2))]
+    cases += [np.zeros((2, 2)), 3.7 * np.eye(2), -0.4 * np.eye(2)]
+    for gap in (1.001 * GAP_FLOOR, 0.999 * GAP_FLOOR):
+        for angle, mean in ((0.0, 0.2), (0.3, -0.1), (2.0, 0.0)):
+            c, s = np.cos(angle), np.sin(angle)
+            rot = np.array([[c, -s], [s, c]])
+            cases.append(rot @ np.diag([mean + 0.5 * gap, mean - 0.5 * gap]) @ rot.T)
+    cases += [np.array([[0.1, 0.0], [0.0, 0.3]]), np.array([[0.1, -0.0], [-0.0, 0.3]])]
+    return np.array([0.5 * (q + q.T) for q in cases])
+
+
+def test_closed_form_2x2_matches_eigh():
+    cases = _two_by_two_cases()
+    lam, vec, ok = leading_directions(cases)
+    assert lam.shape == ok.shape == (len(cases),) and vec.shape == (len(cases), 2)
+    assert (vec[:, 0] > 0.0).all()  # the half angle lies in [-pi/2, pi/2]
+    for q, lam_c, v_c, ok_c in zip(cases, lam, vec, ok):
+        w, v = np.linalg.eigh(q)
+        assert ok_c == (w[1] - w[0] >= GAP_FLOOR)
+        scale = np.abs(q).max()
+        assert abs(lam_c - w[1]) <= 1e-15 * scale
+        if ok_c:
+            # an eigenvector moves by about rounding / gap
+            err = min(np.abs(v_c - v[:, 1]).max(), np.abs(v_c + v[:, 1]).max())
+            assert err <= 1e-15 * scale / (w[1] - w[0])
+
+
+def test_closed_form_flags_the_gaps_around_the_floor():
+    ok = leading_directions(_two_by_two_cases())[2]
+    assert ok[200:203].tolist() == [False] * 3  # 0 and c I
+    assert ok[203:209].tolist() == [True] * 3 + [False] * 3
+    assert ok[209:].tolist() == [True, True]
+
+
+def test_leading_direction_sign_convention_on_2x2_cases():
+    for q in _two_by_two_cases():
+        w, v = np.linalg.eigh(q)
+        if w[1] - w[0] < GAP_FLOOR:
+            with pytest.raises(DegenerateLeadingEigenvalue):
+                leading_direction(q)
+            continue
+        u = leading_direction(q).direction
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+        assert u[np.abs(u) > 1e-14][0] > 0
+        assert min(np.abs(u - v[:, 1]).max(), np.abs(u + v[:, 1]).max()) <= 1e-6
+
+
+@pytest.mark.parametrize("off", [0.0, -0.0])
+def test_closed_form_vertical_axis_for_signed_zero_coupling(off):
+    # atan2(+-0, negative) = +-pi, so the half angle is +-pi/2
+    q = np.array([[0.1, off], [off, 0.3]])
+    lam, v, ok = leading_directions(q)
+    assert ok and lam == 0.3
+    assert abs(v[0]) < 1e-16 and abs(v[1]) == 1.0
+    assert np.array_equal(leading_direction(q).direction, [v[0] * np.sign(v[1]), 1.0])
