@@ -14,6 +14,7 @@ from typing import Union
 
 from ..ibm import KERNELS
 from ..kinetic import U_POLICIES
+from ..macro import DIMENSIONS
 
 Value = Union[int, float, str, tuple]
 
@@ -84,7 +85,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "macro": {
         **_COMMON,
         "kappa": FieldSpec("real", required=True, positive=True),
-        "d": FieldSpec("int", required=True, positive=True),
+        "d": FieldSpec("int", required=True, choices=DIMENSIONS),
         "grid_n": FieldSpec("int", required=True, positive=True),
         "T": FieldSpec("real", required=True, positive=True),
         "box": FieldSpec("real", default=1.0, positive=True),
@@ -184,7 +185,7 @@ def _check_value(value: Value, spec: FieldSpec, key: str, line_no: int) -> None:
     if spec.choices and value not in spec.choices:
         raise ConfigError(
             "bad-value", line_no,
-            f"key {key!r} must be one of {', '.join(spec.choices)}, got {value!r}",
+            f"key {key!r} must be one of {', '.join(map(str, spec.choices))}, got {value!r}",
         )
 
 

@@ -18,7 +18,11 @@ Expanded, L phi = (1-r^2) phi'' + (kappa (1-r^2) - 2 mu) r phi' - z0 phi = f.
 Discretization: continuous piecewise-quadratic Lagrange elements on the graded
 grid r_j = cos(theta_j), theta uniform, assembled entirely in theta where every
 integrand is smooth for all d >= 2.  The degenerate leading weight vanishes at
-r = +-1, so no boundary conditions are imposed there (natural).
+r = +-1, so no boundary conditions are imposed there (natural).  Each element's
+midpoint is condensed out in closed form, which leaves an SPD tridiagonal
+system on the vertices (LAPACK pttrf/pttrs).  Kinds that share an operator
+(h, a, b and c, k) share one assembly, and one factor serves each operator and
+parity.
 
 Parity: h, c, e, k are odd and a, b even, as are their loads, so each profile
 is solved once on the half interval r in [0, 1] (theta in [pi/2, 0], n/2
@@ -48,8 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 ELEMENT_DEGREE = 2
 GL_PER_ELEMENT = 8
@@ -142,27 +145,35 @@ class RadialSolution:
         return self._slope_spline(r)
 
 
-class _Problem(NamedTuple):
-    parity: str
+class _Operator(NamedTuple):
     mu_shift: int  # stiffness exponent mu = (d + mu_shift) / 2
     zero_order: Callable[[float, int, np.ndarray], np.ndarray] | None
+
+
+class _Problem(NamedTuple):
+    operator: _Operator
+    parity: str
     load: Callable[[np.ndarray, RadialSolution | None], np.ndarray]  # f(r, e)
 
 
-def _z0_hab(kappa: float, d: int, r: np.ndarray) -> np.ndarray:
-    return kappa * r**2 + (d - 1)
-
-
+_HAB = _Operator(1, lambda kappa, d, r: kappa * r**2 + (d - 1))
+_E = _Operator(3, lambda kappa, d, r: 2.0 * (kappa * r**2 + d))
+_CK = _Operator(-1, None)
 # e is solved before k, whose load it is
 _PROBLEMS = {
-    "h": _Problem("odd", 1, _z0_hab, lambda r, e: r),
-    "a": _Problem("even", 1, _z0_hab, lambda r, e: np.ones_like(r)),
-    "b": _Problem("even", 1, _z0_hab, lambda r, e: r**2),
-    "e": _Problem("odd", 3, lambda kappa, d, r: 2.0 * (kappa * r**2 + d), lambda r, e: r),
-    "c": _Problem("odd", -1, None, lambda r, e: r),
-    "k": _Problem("odd", -1, None, lambda r, e: -2.0 * e(r)),
+    "h": _Problem(_HAB, "odd", lambda r, e: r),
+    "a": _Problem(_HAB, "even", lambda r, e: np.ones_like(r)),
+    "b": _Problem(_HAB, "even", lambda r, e: r**2),
+    "e": _Problem(_E, "odd", lambda r, e: r),
+    "c": _Problem(_CK, "odd", lambda r, e: r),
+    "k": _Problem(_CK, "odd", lambda r, e: -2.0 * e(r)),
 }
 ALL_KINDS = tuple(_PROBLEMS)
+# the kinds of each operator, operators in table order (e's before k's)
+_OPERATOR_KINDS = tuple(
+    tuple(kind for kind in ALL_KINDS if _PROBLEMS[kind].operator == op)
+    for op in dict.fromkeys(prob.operator for prob in _PROBLEMS.values())
+)
 
 
 def _lagrange_basis(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -199,8 +210,8 @@ def _element_quadrature(n_el: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-# (i, j) with i <= j, column by column: the only local entries the SPD
-# banded assembly reads
+# (i, j) with i <= j, column by column: the local entries of a symmetric
+# element matrix, local node 1 being the element's midpoint
 _UPPER = tuple((i, j) for j in range(ELEMENT_DEGREE + 1) for i in range(j + 1))
 
 
@@ -219,72 +230,59 @@ def _upper_products(weights: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_assembled(Aloc: np.ndarray, Floc: np.ndarray, origin_fixed: bool) -> np.ndarray:
-    """Assemble element matrices and loads, then solve the SPD banded system.
+def _solve_operator(
+    kinds: tuple[str, ...], kappa: float, d: int, n: int, e: RadialSolution | None
+) -> np.ndarray:
+    """Vertex values on r in [0, 1] of kinds sharing one operator, one row per kind.
 
-    Aloc holds the upper local entries, one row of elements per (i, j) in
-    _UPPER.  origin_fixed imposes u = 0 at the first node (r = 0); otherwise
-    the condition there is natural.
+    Each element's midpoint is condensed out, leaving an SPD tridiagonal
+    system on the n/2 + 1 vertices.  It is factored once per parity: odd
+    kinds pin u = 0 at the first vertex (r = 0), even ones leave it natural.
     """
-    p = ELEMENT_DEGREE
-    n_el = Floc.shape[0]
-    conn = np.arange(n_el)[:, None] * p + np.arange(p + 1)[None, :]
-    ab = np.zeros((p + 1, p * n_el + 1))  # upper storage: ab[p + i - j, j] = A[i, j]
-    F = np.zeros(p * n_el + 1)
-    # within one local index the global indices are distinct, so += is exact
-    for j in range(p + 1):
-        F[conn[:, j]] += Floc[:, j]
-    for (i, j), entries in zip(_UPPER, Aloc):
-        ab[p + i - j, conn[:, j]] += entries
-    if not origin_fixed:
-        return solveh_banded(ab, F)
-    u = np.zeros_like(F)
-    u[1:] = solveh_banded(ab[:, 1:], F[1:])
-    return u
-
-
-def _solve_half(
-    kind: str, kappa: float, d: int, n: int, e: RadialSolution | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (theta nodes, nodal solution) on the n/2 elements of r in [0, 1]."""
-    theta, inv_half, wq, rq, sq, N, dN = _element_quadrature(n // 2)
+    _, inv_half, wq, rq, sq, N, dN = _element_quadrature(n // 2)
     E = np.exp(0.5 * kappa * rq**2)
-    prob = _PROBLEMS[kind]
-    mu = (d + prob.mu_shift) / 2
+    op = _PROBLEMS[kinds[0]].operator
+    mu = (d + op.mu_shift) / 2
     # chain rule u'(r) = -u_theta/sin(theta) and dr = sin(theta) dtheta turn
     # the stiffness weight sin^{2 mu} and the zero-order and load weight
     # sin^{2 mu - 2} into one power of sin
     s = sq ** (2 * mu - 1)
-
-    Aloc = _upper_products(wq * (E * s), dN) * inv_half**2
-    if prob.zero_order is not None:
-        z0 = prob.zero_order(kappa, d, rq)
-        Aloc = Aloc + _upper_products(wq * E * s * z0, N)
-    Floc = -np.einsum("eq,qi->ei", wq * (prob.load(rq, e) * E * s), N)
-    return theta, _solve_assembled(Aloc, Floc, origin_fixed=prob.parity == "odd")
+    A = _upper_products(wq * (E * s), dN) * inv_half**2
+    if op.zero_order is not None:
+        A = A + _upper_products(wq * E * s * op.zero_order(kappa, d, rq), N)
+    a00, a01, a11, a02, a12, a22 = A
+    l0, l2 = a01 / a11, a12 / a11
+    diag = np.append(a00 - l0 * a01, 0.0)
+    diag[1:] += a22 - l2 * a12
+    off = a02 - l0 * a12
+    rhs = np.zeros((len(kinds), diag.size))
+    for row, kind in zip(rhs, kinds):
+        F = -np.einsum("eq,qi->ei", wq * (_PROBLEMS[kind].load(rq, e) * E * s), N)
+        row[:-1] = F[:, 0] - l0 * F[:, 1]
+        row[1:] += F[:, 2] - l2 * F[:, 1]
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
+        # dpttrf lets a NaN pivot through
+        raise np.linalg.LinAlgError(f"profile {'/'.join(kinds)}: condensed system is not finite")
+    u = np.zeros_like(rhs)
+    for parity, pin in (("even", 0), ("odd", 1)):
+        rows = [i for i, kind in enumerate(kinds) if _PROBLEMS[kind].parity == parity]
+        if not rows:
+            continue
+        name = "/".join(kinds[i] for i in rows)
+        df, ef, info = dpttrf(diag[pin:], off[pin:])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"profile {name}: not positive definite (dpttrf {info})")
+        x, info = dpttrs(df, ef, rhs[rows, pin:].T)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"profile {name}: dpttrs returned info = {info}")
+        u[rows, pin:] = x.T
+    return u
 
 
 def _reflect(half_vertices: np.ndarray, parity: str) -> np.ndarray:
     """Extend vertex values on r in [0, 1] to the full ascending grid."""
     sign = -1.0 if parity == "odd" else 1.0
     return np.concatenate((sign * half_vertices[:0:-1], half_vertices))
-
-
-def _make_profile(
-    kind: str, kappa: float, d: int, n: int, e: RadialSolution | None
-) -> RadialSolution:
-    theta, u = _solve_half(kind, kappa, d, n, e)
-    p = ELEMENT_DEGREE
-    r = np.cos(theta[::p])
-    r[0] = 0.0  # cos(pi/2) rounds to 6e-17; the reflected grid needs r = 0
-    return RadialSolution(
-        kind=kind,
-        kappa=float(kappa),
-        d=int(d),
-        grid=_reflect(r, "odd"),
-        values=_reflect(u[::p], _PROBLEMS[kind].parity),
-        e_profile=e,
-    )
 
 
 def _validate_problem(kappa: float, d: int, n: int) -> None:
@@ -299,11 +297,21 @@ def _validate_problem(kappa: float, d: int, n: int) -> None:
 
 
 def solve_bundle(kappa: float, d: int, n: int) -> dict[str, RadialSolution]:
-    """All six profiles at shared (kappa, d, n); k is built on the bundle's e."""
+    """All six profiles at shared (kappa, d, n), one solve per operator.
+
+    The operators go in table order, so k's load reads the bundle's e.
+    """
     _validate_problem(kappa, d, n)
+    r = np.cos(_element_quadrature(n // 2)[0][::ELEMENT_DEGREE])
+    r[0] = 0.0  # cos(pi/2) rounds to 6e-17; the reflected grid needs r = 0
+    grid = _reflect(r, "odd")
+    grid.setflags(write=False)  # shared by the six profiles
     out: dict[str, RadialSolution] = {}
-    for kind in ALL_KINDS:
-        out[kind] = _make_profile(kind, kappa, d, n, out["e"] if kind == "k" else None)
+    for kinds in _OPERATOR_KINDS:
+        for kind, u in zip(kinds, _solve_operator(kinds, kappa, d, n, out.get("e"))):
+            out[kind] = RadialSolution(
+                kind, float(kappa), int(d), grid, _reflect(u, _PROBLEMS[kind].parity),
+                e_profile=out["e"] if kind == "k" else None)
     return out
 
 
@@ -355,9 +363,10 @@ def strong_defect(sol: RadialSolution) -> tuple[np.ndarray, np.ndarray]:
     rr, v, v1, v2 = rr[mask], v[mask], v1[mask], v2[mask]
     s2 = 1.0 - rr**2
     prob = _PROBLEMS[sol.kind]
-    L = s2 * v2 + (kappa * s2 - (d + prob.mu_shift)) * rr * v1  # d + mu_shift = 2 mu
-    if prob.zero_order is not None:
-        L = L - prob.zero_order(kappa, d, rr) * v
+    op = prob.operator
+    L = s2 * v2 + (kappa * s2 - (d + op.mu_shift)) * rr * v1  # d + mu_shift = 2 mu
+    if op.zero_order is not None:
+        L = L - op.zero_order(kappa, d, rr) * v
     return rr, L - prob.load(rr, sol.e_profile)
 
 

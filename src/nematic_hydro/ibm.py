@@ -191,13 +191,24 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normalize(vectors: np.ndarray) -> np.ndarray:
     """Scale each row of vectors to unit length, in place."""
     norms = np.sqrt(_row_dots(vectors, vectors))
-    if not norms.min() >= 1e-6:  # a NaN norm fails too
+    if not (norms.min() >= 1e-6 and norms.max() < math.inf):  # a NaN norm fails both
+        cause = "is not finite" if not np.isfinite(norms).all() else "collapsed to the origin"
         raise ArithmeticError(
-            "orientation update collapsed to the origin or is not a number; "
-            "the noise step is too large for this dt"
+            f"orientation update {cause}; the noise step is too large for this dt"
         )
     vectors /= norms[:, None]
     return vectors
+
+
+def _normalize_update(update: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """_normalize of an update from the orientations omega, which are checked
+    only when it fails: a bad input row fails there too, and is named."""
+    try:
+        return _normalize(update)
+    except ArithmeticError as exc:
+        if not np.abs(np.sqrt(_row_dots(omega, omega)) - 1.0).max() <= ORIENT_TOL:
+            raise ArithmeticError("input state has a non-finite or non-unit orientation") from exc
+        raise
 
 
 def _kernel_weights(dist2: np.ndarray, config: IbmConfig) -> np.ndarray:
@@ -364,7 +375,7 @@ def step(
     stage = np.multiply(dt, drift0, out=np.empty_like(omega))
     stage += omega
     stage += noise0
-    _normalize(stage)
+    _normalize_update(stage, omega)
     # half the sum of both stages' noise increments
     noise_mean = _project(stage, noise, np.empty_like(omega))
     noise_mean += noise0
@@ -374,7 +385,7 @@ def step(
     combined *= 0.5 * dt
     combined += omega
     combined += noise_mean
-    new_omega = _normalize(combined)
+    new_omega = _normalize_update(combined, omega)
     new_pos = _wrap(state.positions + dt * omega, config.box_length)
     return ParticleState(new_pos, new_omega, state.time + dt)
 

@@ -51,6 +51,7 @@ __all__ = [
     "BLOWUP_LIMIT",
     "BlowUpDetected",
     "CflViolation",
+    "DIMENSIONS",
     "MacroConfig",
     "MacroField",
     "appendix_identity_residual",
@@ -61,6 +62,9 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e6
 """Any field magnitude beyond this (or a non-finite value) halts the run."""
+
+DIMENSIONS = (2, 3)
+"""The lattice and coefficient dimensions the stepper supports."""
 
 
 class CflViolation(ValueError):
@@ -155,8 +159,8 @@ class MacroConfig:
     _planes: _Planes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.coefficients.d not in (2, 3):
-            raise ValueError(f"coefficient dimension {self.coefficients.d} is not 2 or 3")
+        if self.coefficients.d not in DIMENSIONS:
+            raise ValueError(f"coefficient dimension {self.coefficients.d} is not in {DIMENSIONS}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not 0 < self.cfl_safety <= 1:

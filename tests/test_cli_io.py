@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nematic_hydro
-from nematic_hydro import ibm, kinetic
+from nematic_hydro import ibm, kinetic, macro
 from nematic_hydro.cli_io import cli
 from nematic_hydro.cli_io.config import SCHEMAS, ConfigError, parse_config, serialize_config
 from nematic_hydro.cli_io.output import (
@@ -103,6 +103,7 @@ class TestConfigParsing:
     def test_allowed_values_come_from_their_owners(self):
         assert SCHEMAS["ibm"]["kernel"].choices is ibm.KERNELS
         assert SCHEMAS["kinetic"]["u_policy"].choices is kinetic.U_POLICIES
+        assert SCHEMAS["macro"]["d"].choices is macro.DIMENSIONS
 
     def test_every_section_has_one_run_and_one_subcommand(self):
         sub = next(
@@ -186,6 +187,11 @@ class TestCoefficientTable:
         write_csv(path, header, rows)
         with pytest.raises(ValueError):
             load_coefficient_row(path, 2.0, 1)
+
+    def test_profile_solve_failure_lands_in_status(self):
+        _, rows = coefficient_table_rows([200.0], [2], n=4096)
+        assert rows[0][2].startswith("error: profile c/k: not positive definite")
+        assert np.isnan(rows[0][3:]).all()
 
     def test_missing_row_raises(self, tmp_path):
         header, rows = coefficient_table_rows([2.0], [1], n=64)
@@ -347,6 +353,16 @@ class TestMain:
         )
         assert code == 2
         assert "no row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_macro_unsupported_dimension_exit_2(self, tmp_path, capsys, monkeypatch, d):
+        # refused by the schema, before a field is built or a profile solved
+        monkeypatch.setattr(cli, "solve_bundle", lambda *args: pytest.fail("profiles solved"))
+        cfg = write_cfg(tmp_path, f"[macro]\nkappa = 4.0\nd = {d}\ngrid_n = 16\nT = 1e-3\n")
+        assert cli.main(["macro", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"key 'd' must be one of 2, 3, got {d} [bad-value]" in err
+        assert "Traceback" not in err
 
     def test_macro_nonpositive_initial_density_exit_2(self, tmp_path, capsys):
         text = "[macro]\nkappa = 4.0\nd = 2\ngrid_n = 16\nT = 1e-3\namplitude = 1.5\n"

@@ -270,6 +270,25 @@ def test_normalize_rejects_nan_rows():
         _normalize(np.array([[1.0, 0.0], [math.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_normalize_rejects_infinite_rows():
+    with pytest.raises(ArithmeticError, match="not finite"):
+        _normalize(np.array([[math.inf, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ArithmeticError, match="collapsed to the origin"):
+        _normalize(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad_row", [[math.nan, 0.0], [math.inf, 0.0], [0.0, 0.0]])
+@pytest.mark.parametrize("kernel", ["global", "indicator"])
+def test_step_blames_a_bad_input_state_not_the_noise(bad_row, kernel):
+    # no noise is drawn at D = 0, so only the input can be at fault
+    cfg = base_config(N=2, nu=0.0, D=0.0, kernel=kernel)
+    st = ParticleState([[0.2, 0.3], [0.7, 0.1]], [bad_row, [1.0, 0.0]])
+    with pytest.raises(ArithmeticError, match="input state has a non-finite or non-unit"):
+        step(st, cfg, stream(cfg.seed, 0))
+
+
 def test_step_from_a_nan_orientation_raises():
     cfg = base_config(N=2, nu=0.0, D=0.5)
     st = ParticleState([[0.2, 0.3], [0.7, 0.1]], [[math.nan, 0.0], [1.0, 0.0]])

@@ -218,3 +218,59 @@ def test_bundle_independent_of_quadrature_cache():
     assert cold["h"] != warm["h"]  # solutions compare by identity, not by their arrays
     cached = radial._element_quadrature(256)
     assert all(not a.flags.writeable for a in cached)
+
+
+def _dense_half_values(kind, kappa, d, n, e):
+    """Vertex values on r in [0, 1] from the full P2 system, assembled densely
+    from the element entries and solved with np.linalg.solve."""
+    _, inv_half, wq, rq, sq, N, dN = radial._element_quadrature(n // 2)
+    prob = radial._PROBLEMS[kind]
+    op = prob.operator
+    E = np.exp(0.5 * kappa * rq**2)
+    s = sq ** (d + op.mu_shift - 1)
+    A = radial._upper_products(wq * E * s, dN) * inv_half**2
+    if op.zero_order is not None:
+        A = A + radial._upper_products(wq * E * s * op.zero_order(kappa, d, rq), N)
+    F = -np.einsum("eq,qi->ei", wq * prob.load(rq, e) * E * s, N)
+    size = n + 1  # 2 (n / 2) + 1 nodes on the half interval
+    K, rhs = np.zeros((size, size)), np.zeros(size)
+    for el in range(n // 2):
+        nodes = 2 * el + np.arange(3)
+        for (i, j), entries in zip(radial._UPPER, A):
+            K[nodes[i], nodes[j]] += entries[el]
+            if i != j:
+                K[nodes[j], nodes[i]] += entries[el]
+        rhs[nodes] += F[el]
+    pin = 1 if prob.parity == "odd" else 0  # u = 0 at r = 0
+    u = np.zeros(size)
+    u[pin:] = np.linalg.solve(K[pin:, pin:], rhs[pin:])
+    return u[::2]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("kappa, d", [(2.0, 3), (6.5, 2)])
+def test_condensed_solve_matches_dense_p2_system(kappa, d, n):
+    bundle = solve_bundle(kappa, d, n)
+    for kind in ALL_KINDS:
+        half = bundle[kind].values[n // 2:]
+        dense = _dense_half_values(kind, kappa, d, n, bundle["e"])
+        assert np.abs(half - dense).max() <= 1e-12 * np.abs(dense).max(), kind
+
+
+@pytest.mark.parametrize("kinds", [("a", "b"), ("c", "k")])
+def test_kinds_solved_together_equal_their_single_solves(kinds):
+    kappa, d, n = 4.0, 3, 512
+    e = solve_bundle(kappa, d, n)["e"]
+    together = radial._solve_operator(kinds, kappa, d, n, e)
+    for row, kind in zip(together, kinds):
+        assert np.array_equal(row, radial._solve_operator((kind,), kappa, d, n, e)[0]), kind
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_solver_failures_raise_linalg_error():
+    # at kappa = 200 the c, k system is not positive definite in rounding
+    with pytest.raises(np.linalg.LinAlgError, match="profile c/k"):
+        solve_bundle(200.0, 2, 4096)
+    # exp(kappa / 2) overflows; dpttrf alone would let the NaN pivots through
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        solve_bundle(2000.0, 2, 64)

@@ -11,14 +11,19 @@ directory.  Every file an operation writes, run_meta.json excepted, is
 hashed with SHA-256.  The two processes run side by side.
 
 Prints every file whose digest differs or that exists on one side only, and
-every operation whose exit code differs.  Exits 0 when everything matches
-and 1 otherwise.  This file uses the standard library only.
+every operation whose exit code differs.  A differing CSV or JSON file also
+gets the largest absolute deviation over the numeric cells the two sides
+hold at the same place (a NaN on one side only counts as infinite); other
+files are compared by digest only.  Exits 0 when everything matches and 1
+otherwise.  This file uses the standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,7 +82,57 @@ def collect(tree: Path, out: Path) -> dict:
     return {"files": files, "exit_codes": exit_codes}
 
 
-def compare(base: dict, change: dict) -> list[str]:
+def _leaves(node, where: tuple = ()):
+    """(position, value) of every scalar in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield where, node
+        return
+    for key, value in items:
+        yield from _leaves(value, where + (key,))
+
+
+def _numbers(path: Path) -> dict:
+    """The numeric cells of a CSV or JSON file by position; {} for other files."""
+    if path.suffix == ".csv":
+        rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        cells = [((i, j), cell) for i, row in enumerate(rows) for j, cell in enumerate(row)]
+    elif path.suffix == ".json":
+        cells = list(_leaves(json.loads(path.read_text(encoding="utf-8"))))
+    else:
+        return {}
+    numbers = {}
+    for where, cell in cells:
+        if isinstance(cell, bool):
+            continue
+        try:
+            numbers[where] = float(cell)
+        except (TypeError, ValueError):
+            pass  # text
+    return numbers
+
+
+def max_deviation(a: Path, b: Path) -> float | None:
+    """Largest |a - b| over the numeric cells both files hold at one position."""
+    na, nb = _numbers(a), _numbers(b)
+    worst = None
+    for where, x in na.items():
+        if where not in nb:
+            continue
+        y = nb[where]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            dev = 0.0
+        else:
+            dev = abs(x - y)
+            dev = math.inf if math.isnan(dev) else dev
+        worst = dev if worst is None else max(worst, dev)
+    return worst
+
+
+def compare(base: dict, change: dict, outputs: dict[str, Path] | None = None) -> list[str]:
     lines = []
     for name in sorted(base["exit_codes"].keys() | change["exit_codes"].keys()):
         a, b = base["exit_codes"].get(name), change["exit_codes"].get(name)
@@ -88,20 +143,21 @@ def compare(base: dict, change: dict) -> list[str]:
         if a is None or b is None:
             lines.append(f"only in {'change' if a is None else 'base'}: {key}")
         elif a != b:
-            lines.append(f"digest differs: {key}")
+            dev = max_deviation(outputs["base"] / key, outputs["change"] / key) if outputs else None
+            lines.append(f"digest differs: {key}"
+                         + ("" if dev is None else f" (max abs deviation {dev:.2g})"))
     return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="revision to compare the working tree with")
-    parser.add_argument("--collect", nargs=2, type=Path, metavar=("TREE", "JSON"),
+    parser.add_argument("--collect", nargs=3, type=Path, metavar=("TREE", "OUT", "JSON"),
                         help=argparse.SUPPRESS)  # the per-tree process
     args = parser.parse_args()
     if args.collect:
-        tree, result = args.collect
-        with tempfile.TemporaryDirectory(prefix="digests-out-") as out:
-            result.write_text(json.dumps(collect(tree.resolve(), Path(out))))
+        tree, out, result = args.collect
+        result.write_text(json.dumps(collect(tree.resolve(), out)))
         return 0
     if not args.base:
         parser.error("--base is required")
@@ -115,18 +171,20 @@ def main() -> int:
         trees = {"base": Path(tmp) / "base", "change": ROOT}
         export(rev, trees["base"])
         procs, results = {}, {}
+        outputs = {side: Path(tmp) / f"{side}-out" for side in trees}
         for side, tree in trees.items():
             results[side] = Path(tmp) / f"{side}.json"
             env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                        **threads)
             procs[side] = subprocess.Popen(
-                [sys.executable, __file__, "--collect", str(tree), str(results[side])], env=env)
+                [sys.executable, __file__, "--collect", str(tree), str(outputs[side]),
+                 str(results[side])], env=env)
         failed = [side for side, proc in procs.items() if proc.wait() != 0]
         if failed:
             print(f"the collecting process failed on: {', '.join(failed)}", file=sys.stderr)
             return 1
         base, change = (json.loads(results[s].read_text()) for s in ("base", "change"))
-    lines = compare(base, change)
+        lines = compare(base, change, outputs)
     print("\n".join(lines) if lines else
           f"all {len(change['files'])} files and {len(change['exit_codes'])} exit codes "
           f"match {rev[:12]}")
