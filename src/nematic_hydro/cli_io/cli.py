@@ -237,11 +237,13 @@ def _validate_corrector(p: dict) -> _SuiteResult:
         grad_u[0, 1] = -0.1
     grad_u[d - 1, 0] = 0.15  # nonzero (u.grad)u keeps the curvature channel active
     grad_rho = 0.3 * np.ones(d)
-    inputs = CorrectorInputs(rho=1.1, grad_rho=grad_rho, u=u, grad_u=grad_u)
     resolutions = (p["n"] // 4, p["n"] // 2, p["n"])
+    # the solver checks d before the inputs, which d = 1 cannot make tangent
+    bundles = [solve_bundle(kappa, d, n) for n in resolutions]
+    inputs = CorrectorInputs(rho=1.1, grad_rho=grad_rho, u=u, grad_u=grad_u)
     rows = []
-    for n in resolutions:
-        channels = corrector_channel_residuals(inputs, solve_bundle(kappa, d, n))
+    for n, bundle in zip(resolutions, bundles):
+        channels = corrector_channel_residuals(inputs, bundle)
         rows.append([n, max(channels.values()), *channels.values()])
     names = list(channels)
     return {

@@ -2,12 +2,7 @@
 first-order corrector, and the sixteen macroscopic transport coefficients."""
 
 from .equilibrium import Equilibrium, make_equilibrium
-from .radial import (
-    ALL_KINDS,
-    RadialSolution,
-    solve_bundle,
-    strong_residual,
-)
+from .radial import ALL_KINDS, RadialSolution, solve_bundle
 from .coefficients import (
     COEFFICIENT_NAMES,
     CoefficientSet,
@@ -31,5 +26,4 @@ __all__ = [
     "make_equilibrium",
     "max_discrepancy",
     "solve_bundle",
-    "strong_residual",
 ]

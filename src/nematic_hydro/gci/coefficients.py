@@ -78,17 +78,6 @@ class CoefficientSet:
     aux_a_over_kappa: float
     aux_ke_combination: float
 
-    def identity_defects(self) -> dict[str, float]:
-        """Absolute defects of the six internal identities."""
-        return {
-            "H1_equals_E1": abs(self.H1 - self.E1),
-            "F3_closure": abs(self.F3 - 2.0 * self.F2 - self.aux_k_over_cos),
-            "G2_G3_link": abs(self.G2 - self.G3 + 2.0 * self.aux_a_over_kappa),
-            "G4_G3_link": abs(self.G4 - self.G3 - self.F3 + 2.0 * self.F2),
-            "H3_H2_link": abs(self.H3 - self.H2 - self.F1 + self.F2),
-            "H4_H3_link": abs(self.H4 - self.H3 - self.aux_ke_combination),
-        }
-
     def positive_block(self) -> dict[str, float]:
         """The coefficients asserted positive: C1..C4, E1, F1..F3."""
         return {n: getattr(self, n) for n in ("C1", "C2", "C3", "C4", "E1", "F1", "F2", "F3")}

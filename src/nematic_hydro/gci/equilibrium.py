@@ -36,15 +36,6 @@ class Equilibrium:
         """Sphere average against M of a function of r, given at the nodes."""
         return float((self.weights * values_at_nodes).sum()) / float(self.weights.sum())
 
-    def q_eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues of the Q-tensor of M: along u, and transverse to it.
-
-        lambda_par = <r^2>_M - 1/d; the transverse value is -lambda_par/(d-1)
-        by tracelessness, returned exactly in that form.
-        """
-        lam_par = self.average(self.nodes**2) - 1.0 / self.d
-        return lam_par, -lam_par / (self.d - 1)
-
 
 _N_QUAD = 256
 """Nodes of the Gauss-Jacobi rule behind Z."""

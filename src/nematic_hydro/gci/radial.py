@@ -240,29 +240,36 @@ def _solve_operator(
     kinds pin u = 0 at the first vertex (r = 0), even ones leave it natural.
     """
     _, inv_half, wq, rq, sq, N, dN = _element_quadrature(n // 2)
-    E = np.exp(0.5 * kappa * rq**2)
     op = _PROBLEMS[kinds[0]].operator
     mu = (d + op.mu_shift) / 2
-    # chain rule u'(r) = -u_theta/sin(theta) and dr = sin(theta) dtheta turn
-    # the stiffness weight sin^{2 mu} and the zero-order and load weight
-    # sin^{2 mu - 2} into one power of sin
-    s = sq ** (2 * mu - 1)
-    A = _upper_products(wq * (E * s), dN) * inv_half**2
-    if op.zero_order is not None:
-        A = A + _upper_products(wq * E * s * op.zero_order(kappa, d, rq), N)
-    a00, a01, a11, a02, a12, a22 = A
-    l0, l2 = a01 / a11, a12 / a11
-    diag = np.append(a00 - l0 * a01, 0.0)
-    diag[1:] += a22 - l2 * a12
-    off = a02 - l0 * a12
-    rhs = np.zeros((len(kinds), diag.size))
-    for row, kind in zip(rhs, kinds):
-        F = -np.einsum("eq,qi->ei", wq * (_PROBLEMS[kind].load(rq, e) * E * s), N)
-        row[:-1] = F[:, 0] - l0 * F[:, 1]
-        row[1:] += F[:, 2] - l2 * F[:, 1]
+    not_finite = f"profile {'/'.join(kinds)}: condensed system is not finite"
+    try:
+        # at large kappa exp(kappa r^2 / 2) or its products overflow; raising
+        # at the first one keeps numpy's warnings off stderr
+        with np.errstate(over="raise", invalid="raise"):
+            E = np.exp(0.5 * kappa * rq**2)
+            # chain rule u'(r) = -u_theta/sin(theta) and dr = sin(theta) dtheta
+            # turn the stiffness weight sin^{2 mu} and the zero-order and load
+            # weight sin^{2 mu - 2} into one power of sin
+            s = sq ** (2 * mu - 1)
+            A = _upper_products(wq * (E * s), dN) * inv_half**2
+            if op.zero_order is not None:
+                A = A + _upper_products(wq * E * s * op.zero_order(kappa, d, rq), N)
+            a00, a01, a11, a02, a12, a22 = A
+            l0, l2 = a01 / a11, a12 / a11
+            diag = np.append(a00 - l0 * a01, 0.0)
+            diag[1:] += a22 - l2 * a12
+            off = a02 - l0 * a12
+            rhs = np.zeros((len(kinds), diag.size))
+            for row, kind in zip(rhs, kinds):
+                F = -np.einsum("eq,qi->ei", wq * (_PROBLEMS[kind].load(rq, e) * E * s), N)
+                row[:-1] = F[:, 0] - l0 * F[:, 1]
+                row[1:] += F[:, 2] - l2 * F[:, 1]
+    except FloatingPointError as exc:
+        raise np.linalg.LinAlgError(f"{not_finite} ({exc})") from None
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
         # dpttrf lets a NaN pivot through
-        raise np.linalg.LinAlgError(f"profile {'/'.join(kinds)}: condensed system is not finite")
+        raise np.linalg.LinAlgError(not_finite)
     u = np.zeros_like(rhs)
     for parity, pin in (("even", 0), ("odd", 1)):
         rows = [i for i, kind in enumerate(kinds) if _PROBLEMS[kind].parity == parity]
@@ -369,7 +376,3 @@ def strong_defect(sol: RadialSolution) -> tuple[np.ndarray, np.ndarray]:
         L = L - op.zero_order(kappa, d, rr) * v
     return rr, L - prob.load(rr, sol.e_profile)
 
-
-def strong_residual(sol: RadialSolution) -> float:
-    """Sup-norm defect of the strong ODE over interior vertices |r| <= INTERIOR_MASK."""
-    return float(np.max(np.abs(strong_defect(sol)[1])))

@@ -89,10 +89,6 @@ class AngularDensity:
         return len(self.values)
 
     @property
-    def theta_centers(self) -> np.ndarray:
-        return _cell_centers(self.n)
-
-    @property
     def measures(self) -> np.ndarray:
         return cell_measures(self.n, self.d)
 
@@ -141,8 +137,9 @@ def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
 
 def bump_density(n: int, d: int, center: float = 0.3, width: float = 0.2) -> AngularDensity:
     """Smooth normalized bump used as a far-from-equilibrium start."""
-    v = np.exp(-0.5 * ((_cell_centers(n) - center) / width) ** 2)
-    return AngularDensity(d=d, values=v / (v @ cell_measures(n, d)))
+    f = AngularDensity(d=d, values=np.exp(-0.5 * ((_cell_centers(n) - center) / width) ** 2))
+    f.values = f.values / f.mass()
+    return f
 
 
 def _axis_alignment_gap(f: AngularDensity) -> float:
@@ -169,21 +166,6 @@ def _resolve_axis(f: AngularDensity, u_policy: str) -> None:
             f"leading eigenvalue gap {gap:.3e} below {GAP_FLOOR}; mean direction "
             "is not aligned with the axisymmetry axis"
         )
-
-
-def gamma_apply(f: AngularDensity, kappa: float, D: float) -> np.ndarray:
-    """Collision operator applied to f, as cell-average rates of change.
-
-    The output's discrete mass is exactly zero (telescoping face fluxes).
-    """
-    n = f.n
-    dtheta = np.pi / n
-    E, w = _grid_weights(n, f.d, kappa)
-    flux = D * w * np.diff(f.values / E) / dtheta
-    rate_mass = np.zeros(n)
-    rate_mass[:-1] += flux
-    rate_mass[1:] -= flux
-    return rate_mass / f.measures
 
 
 @lru_cache(maxsize=8)

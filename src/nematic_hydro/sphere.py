@@ -20,6 +20,9 @@ from scipy.special import roots_jacobi
 
 from .constants import UNIT_TOL
 
+_MAX_NODES = 2_000_000
+"""Most nodes build_quadrature allocates; validate --suite gci at d = 4 uses 100^3."""
+
 
 def angle_weight_norm(m: int) -> float:
     """W_m = int_0^pi sin^m(theta) dtheta."""
@@ -97,6 +100,12 @@ def build_quadrature(d: int, axis: np.ndarray, n: int) -> SphereQuadrature:
         raise ValueError("sphere dimension requires d >= 2")
     if n < 2:
         raise ValueError("n >= 2 required")
+    count = 2 * n if d == 2 else n ** (d - 1)
+    if count > _MAX_NODES:
+        raise ValueError(
+            f"sphere quadrature at d = {d}, n = {n} needs {count} nodes, "
+            f"above the budget of {_MAX_NODES}"
+        )
     axis = assert_unit(axis)
     alpha = (d - 3) / 2.0
     r, wr = roots_jacobi(n, alpha, alpha)

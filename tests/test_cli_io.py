@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,14 @@ class TestCoefficientTable:
         _, rows = coefficient_table_rows([200.0], [2], n=4096)
         assert rows[0][2].startswith("error: profile c/k: not positive definite")
         assert np.isnan(rows[0][3:]).all()
+
+    def test_overflowing_kappa_lands_in_status(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, rows = coefficient_table_rows([1415.0, 2000.0], [2], n=64)
+        for row in rows:
+            assert row[2].startswith("error: profile ") and "not finite" in row[2], row[2]
+            assert np.isnan(row[3:]).all()
 
     def test_missing_row_raises(self, tmp_path):
         header, rows = coefficient_table_rows([2.0], [1], n=64)
@@ -483,3 +493,33 @@ def test_python_m_runs_the_cli(tmp_path, text, exit_code):
     )
     assert done.returncode == exit_code, done.stderr
     assert (out / "coefficients.csv").exists() == (exit_code == 0)
+
+
+# the smallest run of each subcommand at dimension d
+DIMENSION_RUNS = {
+    "coeffs": "[coeffs]\nkappas = 2.0\nds = {d}\nn = 64\n",
+    "ibm": "[ibm]\nN = 20\nd = {d}\nnu = 1.0\nD = 0.5\nR = 0.3\ndt = 0.01\nT = 0.02\n",
+    "kinetic": "[kinetic]\nkappa = 2.0\nD = 1.0\nn = 8\ndt = 0.1\nT = 0.1\nd = {d}\nn_samples = 1\n",
+    "macro": "[macro]\nkappa = 4.0\nd = {d}\ngrid_n = 8\nT = 0.01\nn_profile = 64\nsnapshots = 1\n",
+    "gci": "[validate]\nd = {d}\nn = 256\ntrials = 1\n",
+    "corrector": "[validate]\nd = {d}\nn = 256\ntrials = 1\n",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("run", list(DIMENSION_RUNS))
+def test_every_dimension_ends_in_a_documented_exit_code(tmp_path, capsys, run, d):
+    cfg, out = write_cfg(tmp_path, DIMENSION_RUNS[run].format(d=d)), tmp_path / "o"
+    argv = ["validate", "--suite", run] if run in ("gci", "corrector") else [run]
+    code = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if run == "coeffs":
+        status = (out / "coefficients.csv").read_text().splitlines()[1].split(",")[2]
+        assert (status == "ok") == (d > 1), status
+        err = status
+    if d == 1:
+        assert code in (0, 2) and re.search(r"\bd\b", err), err
+    if run in ("gci", "corrector") and d == 5:  # 100^4 or 96^4 sphere nodes
+        assert code == 2 and "above the budget" in err, err

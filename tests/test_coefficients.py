@@ -11,6 +11,8 @@ from nematic_hydro.gci.equilibrium import make_equilibrium
 from nematic_hydro.gci.radial import solve_bundle
 from nematic_hydro.sphere import build_quadrature
 
+from _oracles import identity_defects
+
 # regression anchors at n = 1024.  Route agreement cannot see derivative
 # error, because both routes read the same profiles and derivatives; the
 # entries built from derivatives (G1-G4, H2-H4) were checked against the
@@ -46,7 +48,7 @@ def test_frozen_values_k4d2(coeffs_k4d2):
 
 def test_internal_identities(coeffs_k2d3, coeffs_k4d2):
     for coeffs in (coeffs_k2d3, coeffs_k4d2):
-        for name, defect in coeffs.identity_defects().items():
+        for name, defect in identity_defects(coeffs).items():
             assert defect < 1e-8, f"{name}: {defect:.2e}"
 
 

@@ -6,13 +6,12 @@ from nematic_hydro.macro import (
     CflViolation,
     MacroConfig,
     MacroField,
-    appendix_identity_residual,
-    auxiliary_operator_checks,
-    rotate_quarter_turn,
     step,
 )
 from nematic_hydro.cli_io.output import write_field_snapshot
 from nematic_hydro.macro import _Planes, _check_in_range, _ddx, _heun, _stage_rates
+
+from _oracles import appendix_identity_residual, auxiliary_operator_checks, rotate_quarter_turn
 
 
 def make_fields(n: int, amp: float = 0.3) -> MacroField:

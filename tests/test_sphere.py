@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from nematic_hydro import sphere
 from nematic_hydro.sphere import (
     SphereQuadrature,
     assert_unit,
@@ -77,3 +78,12 @@ def test_second_order_moment_matches_direct_sum(d):
     perp = quad.nodes - np.multiply.outer(r, u)
     direct = np.einsum("m,m,mi,mj->ij", quad.weights, a_vals, perp, perp)
     assert np.abs(moment - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(7, 100), (5, 100)])
+def test_node_budget_refuses_before_allocating(monkeypatch, d, n):
+    monkeypatch.setattr(sphere, "roots_jacobi", lambda *args: pytest.fail("nodes allocated"))
+    axis = np.zeros(d)
+    axis[0] = 1.0
+    with pytest.raises(ValueError, match=f"d = {d}, n = {n} needs {n ** (d - 1)} nodes"):
+        build_quadrature(d, axis, n)
