@@ -30,7 +30,6 @@ from ..validation import (
     gci_orthogonality_report,
     ibm_equilibrium_statistics,
     particle_vs_macro,
-    rotating_equilibrium_family,
 )
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .output import (
@@ -97,6 +96,9 @@ def _run_coeffs(p: dict, chash: str, out: Path, args: argparse.Namespace) -> Non
 
 
 def _run_ibm(p: dict, chash: str, out: Path, args: argparse.Namespace) -> None:
+    if p["coarse_grid"] > 0 and not p["coarse_bandwidth"] * p["coarse_bandwidth"] < math.inf:
+        # coarse_grain squares the bandwidth; refused before the march, not after it
+        raise ConfigError("bad-value", 0, "key 'coarse_bandwidth' has no finite square")
     ibm_cfg = IbmConfig(
         N=p["N"], d=p["d"], nu=p["nu"], D=p["D"], R=p["R"], kernel=p["kernel"],
         box_length=p["box_length"], dt=p["dt"], seed=p["seed"],
@@ -194,9 +196,8 @@ _SuiteResult = tuple[dict, list[str], "np.ndarray | list[list]"]
 
 
 def _validate_scaling(p: dict) -> _SuiteResult:
-    f = rotating_equilibrium_family(p["kappa"])
-    report = eps_expansion_study(f, p["eps"])
-    control = eps_expansion_study(f, [e / 2 for e in p["eps"]], asymmetry=0.5)
+    report = eps_expansion_study(p["kappa"], p["eps"])
+    control = eps_expansion_study(p["kappa"], [e / 2 for e in p["eps"]], asymmetry=0.5)
     return {
         "slope": report.slope,
         "asymmetric_control_slope": control.slope,

@@ -37,6 +37,18 @@ class Equilibrium:
         return float((self.weights * values_at_nodes).sum()) / float(self.weights.sum())
 
 
+def _exp_weight(kappa: float, r: np.ndarray) -> np.ndarray:
+    """exp(kappa r^2 / 2); where it overflows, ArithmeticError naming kappa.
+
+    Raising at the first overflow keeps numpy's warnings off stderr.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return np.exp(0.5 * kappa * r**2)
+    except FloatingPointError:
+        raise ArithmeticError(f"exp(kappa r^2 / 2) overflows at kappa = {kappa}") from None
+
+
 _N_QUAD = 256
 """Nodes of the Gauss-Jacobi rule behind Z."""
 
@@ -57,7 +69,7 @@ def make_equilibrium(kappa: float, d: int) -> Equilibrium:
         raise ValueError("d >= 2 required")
     alpha = (d - 3) / 2.0
     r, w = roots_jacobi(_N_QUAD, alpha, alpha)
-    E = np.exp(0.5 * kappa * r**2)
+    E = _exp_weight(kappa, r)
     Z = float(w @ E) / angle_weight_norm(d - 2)
     weights = w * E
     r.flags.writeable = weights.flags.writeable = False

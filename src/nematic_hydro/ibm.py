@@ -456,7 +456,8 @@ def coarse_grain(
     if bandwidth > 0.0:
         k = [2.0 * np.pi * np.fft.fftfreq(grid_n, d=cell_size) for _ in range(d)]
         k2 = sum(g**2 for g in np.meshgrid(*k, indexing="ij"))
-        rho_hat = np.fft.ifftn(np.fft.fftn(rho_hat) * np.exp(-0.5 * bandwidth**2 * k2)).real
+        with np.errstate(over="ignore"):  # a bandwidth far beyond the box leaves only the mean
+            rho_hat = np.fft.ifftn(np.fft.fftn(rho_hat) * np.exp(-0.5 * bandwidth**2 * k2)).real
 
     omega = state.orientations
     moments = np.array([

@@ -32,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .constants import GAP_FLOOR, step_count
-from .gci.equilibrium import make_equilibrium
+from .gci.equilibrium import _exp_weight, make_equilibrium
 from .qtensor import DegenerateLeadingEigenvalue
 from .sphere import angle_weight_norm
 
@@ -112,14 +112,9 @@ def _grid_weights(n: int, d: int, kappa: float) -> tuple[np.ndarray, np.ndarray]
     E = exp(kappa cos^2(theta) / 2).  Cached per argument tuple and shared by
     every caller, hence read-only.
     """
-    centres = _cell_centers(n)
     faces = np.linspace(0.0, np.pi, n + 1)[1:-1]
-    E = np.exp(0.5 * kappa * np.cos(centres) ** 2)
-    w = (
-        np.exp(0.5 * kappa * np.cos(faces) ** 2)
-        * np.sin(faces) ** (d - 2)
-        / angle_weight_norm(d - 2)
-    )
+    E = _exp_weight(kappa, np.cos(_cell_centers(n)))
+    w = _exp_weight(kappa, np.cos(faces)) * np.sin(faces) ** (d - 2) / angle_weight_norm(d - 2)
     for a in (E, w):
         a.setflags(write=False)
     return E, w
@@ -137,8 +132,13 @@ def equilibrium_density(n: int, d: int, kappa: float) -> AngularDensity:
 
 def bump_density(n: int, d: int, center: float = 0.3, width: float = 0.2) -> AngularDensity:
     """Smooth normalized bump used as a far-from-equilibrium start."""
-    f = AngularDensity(d=d, values=np.exp(-0.5 * ((_cell_centers(n) - center) / width) ** 2))
-    f.values = f.values / f.mass()
+    with np.errstate(over="ignore"):  # a far-off bump underflows to zero, refused below
+        values = np.exp(-0.5 * ((_cell_centers(n) - center) / width) ** 2)
+    f = AngularDensity(d=d, values=values)
+    mass = f.mass()
+    if not mass > 0.0:
+        raise ValueError(f"bump at center = {center}, width = {width} has no mass on {n} cells")
+    f.values = f.values / mass
     return f
 
 

@@ -25,7 +25,9 @@ _MAX_NODES = 2_000_000
 
 
 def angle_weight_norm(m: int) -> float:
-    """W_m = int_0^pi sin^m(theta) dtheta."""
+    """W_m = int_0^pi sin^m(theta) dtheta; the sphere S^{d-1} takes m = d - 2."""
+    if m < 0:
+        raise ValueError(f"d >= 2 required, got d = {m + 2}")
     return sqrt(pi) * gamma((m + 1) / 2) / gamma(m / 2 + 1)
 
 

@@ -32,7 +32,6 @@ from .sphere import assert_unit, build_quadrature, complete_basis
 __all__ = [
     "ScalingReport",
     "eps_expansion_study",
-    "rotating_equilibrium_family",
     "AlignedPerturbation",
     "gci_orthogonality_report",
     "EquilibriumStats",
@@ -66,9 +65,7 @@ def _ball_quadrature(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s, ws = np.polynomial.legendre.leggauss(_SCALING_N_RADIAL)
     s = 0.5 * (s + 1.0)
     ws = 0.5 * ws
-    axis = np.zeros(d)
-    axis[-1] = 1.0
-    sphere = build_quadrature(d, axis, _SCALING_N_SURFACE)
+    sphere = build_quadrature(d, np.eye(d)[-1], _SCALING_N_SURFACE)
     surface_area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
     # weights integrate g over {|xi| <= 1}: radial measure s^{d-1} times the
     # surface measure, the latter recovered from the unit-mass sphere rule
@@ -78,83 +75,72 @@ def _ball_quadrature(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes.reshape(-1, d), w.reshape(-1), dirs.reshape(-1, d)
 
 
-_SCALING_PROBES = np.array([[0.31, 0.57], [0.72, 0.22], [0.11, 0.86]])
-"""Spatial points of the expansion study, in the plane."""
+_SCALING_PROBES = np.array([0.31, 0.72, 0.11])
+"""First coordinates of the study's probe points; its family does not vary along x_2."""
 # resolutions of the study: radial and surface nodes of the ball, sphere nodes
 _SCALING_N_RADIAL = 24
 _SCALING_N_SURFACE = 48
 _SCALING_N_SPHERE = 64
 
 
+def _q_moment(weights: np.ndarray, values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Unnormalized Q-tensor moment sum_m w_m f_m (omega_m omega_m^T - I/d).
+
+    values is (..., m) on the m sphere nodes, and the result (..., d, d);
+    no (m, d, d) array is formed.
+    """
+    wf = weights * values
+    d = nodes.shape[1]
+    outer = np.einsum("...m,mi,mj->...ij", wf, nodes, nodes)
+    return outer - (wf.sum(axis=-1) / d)[..., None, None] * np.eye(d)
+
+
 def eps_expansion_study(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    eps_values: Sequence[float],
-    *,
-    asymmetry: float = 0.0,
+    kappa: float, eps_values: Sequence[float], *, asymmetry: float = 0.0
 ) -> ScalingReport:
     """Error of the kernel-averaged Q-tensor against the local one vs eps, in 2-D.
 
-    f(x, omega_nodes) returns the angular density at spatial point x on the
-    given orientation nodes; it must be smooth and 1-periodic in each spatial
-    coordinate.  The kernel is flat on the ball of radius eps, normalized so
-    the average of a constant is exact.  asymmetry adds an odd component to
-    the kernel, which breaks the symmetry that cancels the linear term and
-    degrades the rate to first order; it exists as a negative control of the
-    study itself.
+    The phase-space density is a smooth 1-periodic family built on the
+    aligned equilibrium at kappa: rho(x) = 1 + 0.5 sin(2 pi x_1) times the
+    equilibrium whose axis turns by 0.3 sin(2 pi x_1) radians.  The kernel is
+    flat on the ball of radius eps, normalized so the average of a constant
+    is exact.  asymmetry adds an odd component to the kernel, which breaks
+    the symmetry that cancels the linear term and degrades the rate to first
+    order; it exists as a negative control of the study itself.
 
     Returns the worst Frobenius error over the probe points per eps and the
     fitted log-log slope.
     """
     eps_arr = np.asarray(sorted(eps_values, reverse=True), dtype=float)
-    if eps_arr.size < 2:
-        raise ValueError("at least two eps values are required to fit a slope")
+    if eps_arr.size < 2 or np.any(np.diff(eps_arr) == 0.0):
+        raise ValueError(f"two or more distinct eps values are required, got {list(eps_values)}")
     d = 2
-    axis = np.zeros(d)
-    axis[-1] = 1.0
-    quad = build_quadrature(d, axis, _SCALING_N_SPHERE)
-    outer = np.einsum("mi,mj->mij", quad.nodes, quad.nodes) - np.eye(d) / d
+    eq = make_equilibrium(kappa, d)
+    quad = build_quadrature(d, np.eye(d)[-1], _SCALING_N_SPHERE)
 
-    def q_of(x: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(x, quad.nodes), dtype=float)
-        return np.einsum("m,m,mij->ij", quad.weights, vals, outer)
+    def density(x1: np.ndarray) -> np.ndarray:
+        """The family on the sphere nodes, (..., m), at first coordinates x1."""
+        phase = 2.0 * math.pi * x1[..., None]
+        alpha = 0.3 * np.sin(phase)
+        r = np.cos(alpha) * quad.nodes[:, 0] + np.sin(alpha) * quad.nodes[:, 1]
+        return (1.0 + 0.5 * np.sin(phase)) * eq.density(r)
 
     xi, w_ball, dirs = _ball_quadrature(d)
     weights = w_ball * (1.0 + asymmetry * dirs[:, 0])
     weights = weights / weights.sum()
 
+    q_local = _q_moment(quad.weights, density(_SCALING_PROBES), quad.nodes)
     errors = np.empty(eps_arr.size)
     for ie, eps in enumerate(eps_arr):
-        worst = 0.0
-        for x0 in _SCALING_PROBES:
-            q_local = q_of(x0)
-            q_avg = np.zeros_like(q_local)
-            for wq, node in zip(weights, xi):
-                q_avg += wq * q_of(x0 + eps * node)
-            worst = max(worst, float(np.linalg.norm(q_avg - q_local)))
-        errors[ie] = worst
+        # the kernel average is linear in f: average the density, then take its moment
+        f_avg = weights @ density(_SCALING_PROBES[:, None] + eps * xi[:, 0])
+        q_avg = _q_moment(quad.weights, f_avg, quad.nodes)
+        errors[ie] = np.linalg.norm(q_avg - q_local, axis=(-2, -1)).max()
     if errors.max() < 1e-14:
         slope = float("nan")
     else:
         slope = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(errors, 1e-300)), 1)[0])
     return ScalingReport(eps_values=eps_arr, errors=errors, slope=slope)
-
-
-def rotating_equilibrium_family(kappa: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Synthetic smooth 2-D phase-space density for the expansion study.
-
-    rho(x) = 1 + 0.5 sin(2 pi x_1); the alignment axis turns by
-    0.3 sin(2 pi x_1) radians.
-    """
-    eq = make_equilibrium(kappa, 2)
-
-    def f(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * float(x[0])
-        rho = 1.0 + 0.5 * math.sin(phase)
-        alpha = 0.3 * math.sin(phase)
-        u = np.array([math.cos(alpha), math.sin(alpha)])
-        return rho * eq.density(nodes @ u)
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +247,8 @@ def gci_orthogonality_report(
     """
     if (field.kappa, field.d) != (h_sol.kappa, h_sol.d):
         raise ValueError("h profile and field disagree on (kappa, d)")
-    axis0 = np.zeros(field.d)
-    axis0[-1] = 1.0
-    quad = build_quadrature(field.d, axis0, 100)
-    f_vals = field.values(quad.nodes)
-    q_tensor = np.einsum(
-        "m,m,mij->ij",
-        quad.weights,
-        f_vals,
-        np.einsum("mi,mj->mij", quad.nodes, quad.nodes) - np.eye(field.d) / field.d,
-    )
+    quad = build_quadrature(field.d, np.eye(field.d)[-1], 100)
+    q_tensor = _q_moment(quad.weights, field.values(quad.nodes), quad.nodes)
     u = leading_direction(q_tensor).direction
     gamma = field.collision_values(quad.nodes, u, h_sol.kappa * D, D)
     psi = gci_vector(h_sol, u, quad.nodes)
@@ -394,15 +372,11 @@ class CrossScaleReport:
         return float(self.density_distances[-1])
 
 
-def _sample_axis_bump(
-    gen: np.random.Generator, n: int, box_length: float, amplitude: float
-) -> np.ndarray:
-    """Inverse-CDF samples from density proportional to 1 + A sin(2 pi x / L)."""
-    if not (abs(amplitude) < 1.0):
-        raise ValueError("|amplitude| < 1 keeps the density positive")
+def _sample_axis_bump(gen: np.random.Generator, n: int, box_length: float) -> np.ndarray:
+    """Inverse-CDF samples from density proportional to 1 + A sin(2 pi x / L), A = _CROSS_BUMP."""
     grid = np.linspace(0.0, box_length, 4097)
     phase = 2.0 * math.pi * grid / box_length
-    cdf = (grid + amplitude * box_length / (2.0 * math.pi) * (1.0 - np.cos(phase))) / box_length
+    cdf = (grid + _CROSS_BUMP * box_length / (2.0 * math.pi) * (1.0 - np.cos(phase))) / box_length
     return np.interp(gen.random(n), cdf, grid)
 
 
@@ -477,10 +451,9 @@ def particle_vs_macro(
     coefficients = compute_coefficients(solve_bundle(kappa, d, 1024))
 
     gen = stream(config.seed, CROSS_STREAM)
-    u0 = np.zeros(d)
-    u0[1] = 1.0
+    u0 = np.eye(d)[1]
     positions = gen.random((config.N, d)) * config.box_length
-    positions[:, 0] = _sample_axis_bump(gen, config.N, config.box_length, _CROSS_BUMP)
+    positions[:, 0] = _sample_axis_bump(gen, config.N, config.box_length)
     orientations = _sample_aligned_orientations(gen, config.N, kappa, u0)
     state = ParticleState(positions, orientations, 0.0)
 

@@ -495,6 +495,38 @@ def test_python_m_runs_the_cli(tmp_path, text, exit_code):
     assert (out / "coefficients.csv").exists() == (exit_code == 0)
 
 
+@pytest.mark.parametrize(
+    "run, text, exit_code, name",
+    [
+        ("kinetic", "[kinetic]\nkappa = 1420\nD = 1.0\nn = 64\ndt = 0.1\nT = 0.2\n", 3, "kappa"),
+        ("kinetic", "[kinetic]\nkappa = 4\nD = 1.0\nn = 64\ndt = 0.1\nT = 0.2\n"
+                    "width = 1e-300\n", 2, "width"),
+        ("kinetic", "[kinetic]\nkappa = 4\nD = 1.0\nn = 64\ndt = 0.1\nT = 0.2\n"
+                    "center = 1e300\n", 2, "center"),
+        ("ibm", "[ibm]\nN = 20\nd = 2\nnu = 1.0\nD = 0.5\nR = 0.3\ndt = 0.01\nT = 0.02\n"
+                "coarse_grid = 3\ncoarse_bandwidth = 1e300\n", 2, "coarse_bandwidth"),
+        ("ibm", "[ibm]\nN = 20\nd = 2\nnu = 1.0\nD = 0.5\nR = 0.3\ndt = 0.01\nT = 0.02\n"
+                "coarse_grid = 3\ncoarse_bandwidth = 1e154\n", 0, None),
+    ],
+    ids=["kinetic-kappa", "kinetic-width", "kinetic-center", "ibm-coarse-bandwidth",
+         "ibm-wide-coarse-bandwidth"],
+)
+def test_extreme_accepted_values_end_in_documented_exits_without_warnings(
+    tmp_path, capsys, run, text, exit_code, name
+):
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([run, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == exit_code, err
+    if exit_code == 0:  # the widest smoothing leaves the mean density
+        assert err == ""
+        assert np.allclose(np.load(out / "coarse_rho.npy"), 20.0, rtol=1e-12, atol=0.0)
+    else:
+        assert len(err.splitlines()) == 1 and name in err, err
+
+
 # the smallest run of each subcommand at dimension d
 DIMENSION_RUNS = {
     "coeffs": "[coeffs]\nkappas = 2.0\nds = {d}\nn = 64\n",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -38,6 +40,9 @@ def test_bump_density_normalized_positive(d):
 def test_angular_density_validation():
     with pytest.raises(ValueError):
         AngularDensity(d=1, values=np.ones(16))
+    for make in (lambda: equilibrium_density(16, 1, 2.0), lambda: cell_measures(16, 1)):
+        with pytest.raises(ValueError, match="d >= 2 required"):
+            make()
     with pytest.raises(ValueError):
         AngularDensity(d=3, values=np.ones(3))
     bad = AngularDensity(d=3, values=np.ones(16))
@@ -46,6 +51,14 @@ def test_angular_density_validation():
         bad.validate()
     with pytest.raises(ValueError):
         AngularDensity(d=3, values=2 * np.ones(16)).validate()
+
+
+@pytest.mark.parametrize("n", [8, 64, 4096])
+def test_overflowing_kappa_raises_naming_kappa(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="kappa = 1420.0"):
+            relaxation_series(bump_density(n, 3), 1420.0, 1.0, 0.1, 0.2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

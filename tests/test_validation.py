@@ -12,7 +12,6 @@ from nematic_hydro.validation import (
     gci_orthogonality_report,
     ibm_equilibrium_statistics,
     particle_vs_macro,
-    rotating_equilibrium_family,
 )
 
 U3 = np.array([0.0, 0.0, 1.0])
@@ -20,32 +19,42 @@ U3 = np.array([0.0, 0.0, 1.0])
 
 class TestEpsExpansionStudy:
     def test_constant_density_has_no_eps_dependence(self):
-        axis = np.array([0.0, 1.0])
-
-        def f(x, nodes):
-            return np.exp((nodes @ axis) ** 2)
-
-        rep = eps_expansion_study(f, [0.2, 0.1])
+        # at kappa = 0 the angular density is constant and Q vanishes everywhere
+        rep = eps_expansion_study(0.0, [0.2, 0.1])
         assert rep.errors.max() < 1e-14
         assert np.isnan(rep.slope)
 
     def test_rotating_family_expands_at_second_order(self):
-        f = rotating_equilibrium_family(2.0)
-        rep = eps_expansion_study(f, [0.2, 0.1, 0.05, 0.025])
+        rep = eps_expansion_study(2.0, [0.2, 0.1, 0.05, 0.025])
         assert 1.8 <= rep.slope <= 2.2
         assert np.all(np.diff(rep.errors) < 0)
 
     def test_asymmetric_kernel_degrades_to_first_order(self):
-        f = rotating_equilibrium_family(2.0)
         rep = eps_expansion_study(
-            f, [0.1, 0.05, 0.025, 0.0125], asymmetry=0.5
+            2.0, [0.1, 0.05, 0.025, 0.0125], asymmetry=0.5
         )
         assert 0.8 <= rep.slope <= 1.2
 
     def test_needs_two_eps_values(self):
-        f = rotating_equilibrium_family(2.0)
         with pytest.raises(ValueError):
-            eps_expansion_study(f, [0.1])
+            eps_expansion_study(2.0, [0.1])
+        with pytest.raises(ValueError, match="distinct"):
+            eps_expansion_study(2.0, [0.1, 0.1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_q_moment_matches_the_outer_product_sum(d, rng):
+    quad = build_quadrature(d, np.eye(d)[-1], 12)
+    values = rng.random((3, quad.nodes.shape[0]))
+    outer = np.einsum("mi,mj->mij", quad.nodes, quad.nodes) - np.eye(d) / d
+    reference = np.einsum("m,bm,mij->bij", quad.weights, values, outer)
+    batched = validation._q_moment(quad.weights, values, quad.nodes)
+    single = validation._q_moment(quad.weights, values[0], quad.nodes)
+    # relative to the mass, the size of the terms whose difference Q is
+    scale = float(quad.weights @ values.max(axis=0))
+    assert batched.shape == (3, d, d) and single.shape == (d, d)
+    assert np.abs(batched - reference).max() <= 1e-14 * scale
+    assert np.abs(single - reference[0]).max() <= 1e-14 * scale
 
 
 class TestOrthogonality:

@@ -43,7 +43,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("cross-scale", "equilibrium", "continuum", "angular")
 CLAIM_WIN_SHARE = 0.9
 
 
@@ -146,8 +145,10 @@ def main() -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain the change claims")
     parser.add_argument("--output", required=True, type=Path)
     args = parser.parse_args()
-    workloads = WORKLOADS if args.workload == "all" else tuple(args.workload.split(","))
-    if unknown := set(workloads) - set(WORKLOADS):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = tuple(w["name"] for w in benchmark["workloads"])
+    workloads = known if args.workload == "all" else tuple(args.workload.split(","))
+    if unknown := set(workloads) - set(known):
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     claim = tuple(args.claim.split(":")) if args.claim else None
     if claim and (len(claim) != 2 or claim[0] not in workloads):
@@ -161,7 +162,7 @@ def main() -> int:
         print(f"cannot resolve a revision: {exc}", file=sys.stderr)
         return 1
     change = snapshot or head
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    end_to_end = benchmark["end_to_end"]
     if claim and claim[1] not in {m["name"] for m in end_to_end}:
         parser.error(f"--claim metric {claim[1]} is not an end-to-end metric")
     metric_names = [m["name"] for m in end_to_end]
