@@ -47,7 +47,7 @@ that would dominate any second-derivative reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -94,6 +94,13 @@ class _Spline:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        return self.on_intervals(i, r)
+
+    def on_intervals(self, i: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Values at r, each read on the interval [x[i], x[i + 1]] that holds it.
+
+        i broadcasts against r, so one index per row serves a row of points.
+        """
         h = r - self.x[i]
         c0, c1, c2, c3 = self._c[:, i]
         return c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
@@ -153,7 +160,8 @@ class _Operator(NamedTuple):
 class _Problem(NamedTuple):
     operator: _Operator
     parity: str
-    load: Callable[[np.ndarray, RadialSolution | None], np.ndarray]  # f(r, e)
+    # f(r, e), e the e profile or any callable that reads it at r
+    load: Callable[[np.ndarray, Callable[[np.ndarray], np.ndarray] | None], np.ndarray]
 
 
 _HAB = _Operator(1, lambda kappa, d, r: kappa * r**2 + (d - 1))
@@ -243,6 +251,11 @@ def _solve_operator(
     op = _PROBLEMS[kinds[0]].operator
     mu = (d + op.mu_shift) / 2
     not_finite = f"profile {'/'.join(kinds)}: condensed system is not finite"
+    # the Gauss points of half-grid element j lie on full-grid interval n/2 + j,
+    # so k's load reads e there without an interval search
+    e_at = None
+    if e is not None:
+        e_at = partial(e._spline.on_intervals, n // 2 + np.arange(n // 2)[:, None])
     try:
         # at large kappa exp(kappa r^2 / 2) or its products overflow; raising
         # at the first one keeps numpy's warnings off stderr
@@ -262,7 +275,7 @@ def _solve_operator(
             off = a02 - l0 * a12
             rhs = np.zeros((len(kinds), diag.size))
             for row, kind in zip(rhs, kinds):
-                F = -np.einsum("eq,qi->ei", wq * (_PROBLEMS[kind].load(rq, e) * E * s), N)
+                F = -np.einsum("eq,qi->ei", wq * (_PROBLEMS[kind].load(rq, e_at) * E * s), N)
                 row[:-1] = F[:, 0] - l0 * F[:, 1]
                 row[1:] += F[:, 2] - l2 * F[:, 1]
     except FloatingPointError as exc:

@@ -454,10 +454,18 @@ def coarse_grain(
 
     rho_hat = (counts / cell_size**d).reshape(shape)
     if bandwidth > 0.0:
-        k = [2.0 * np.pi * np.fft.fftfreq(grid_n, d=cell_size) for _ in range(d)]
-        k2 = sum(g**2 for g in np.meshgrid(*k, indexing="ij"))
-        with np.errstate(over="ignore"):  # a bandwidth far beyond the box leaves only the mean
-            rho_hat = np.fft.ifftn(np.fft.fftn(rho_hat) * np.exp(-0.5 * bandwidth**2 * k2)).real
+        # a bandwidth far beyond the box leaves only the mean, the k = 0 mode
+        with np.errstate(over="ignore"):
+            try:
+                square = bandwidth**2
+            except OverflowError:  # a Python float raises where numpy's overflows to inf
+                square = math.inf
+            if math.isfinite(square):
+                k = [2.0 * np.pi * np.fft.fftfreq(grid_n, d=cell_size) for _ in range(d)]
+                k2 = sum(g**2 for g in np.meshgrid(*k, indexing="ij"))
+                rho_hat = np.fft.ifftn(np.fft.fftn(rho_hat) * np.exp(-0.5 * square * k2)).real
+            else:
+                rho_hat = np.full(shape, rho_hat.mean())
 
     omega = state.orientations
     moments = np.array([

@@ -14,13 +14,23 @@ and the discrete mass of the output telescopes to zero.  End faces carry zero
 flux: the weight vanishes there for d >= 3, and for d = 2 the symmetric ghost
 extension forces it.
 
-Time stepping is backward Euler on the same flux form.  The system matrix is
-a symmetric positive-definite tridiagonal M-matrix, so the update preserves
-positivity unconditionally, conserves mass exactly, and makes the quadratic
-entropy sum f_i^2 / M_i mu_i non-increasing step by step.  It depends only on
-(n, d, kappa, D, dt), so it is factored once per such tuple (LAPACK pttrf,
-L D L^T of a symmetric positive-definite tridiagonal matrix) and every step
-is one pttrs solve with that factor.
+Time stepping is backward Euler on the same flux form:
+(M + dt K) g_new = M g_old with M = diag(mu E) and K the face-flux
+stiffness, symmetric with zero row sums.  The collision operator is
+self-adjoint in the M-weighted space, so the march runs on the scaled
+unknown h = M^{1/2} g = sqrt(mu / E) f, for which each step is
+
+    (I + dt M^{-1/2} K M^{-1/2}) h_new = h_old.
+
+Like the unscaled one, the scaled matrix is symmetric positive definite
+and tridiagonal with nonpositive off-diagonals.  So in exact arithmetic the
+update preserves positivity unconditionally, conserves the mass
+sum sqrt(mu E) h (that vector is the matrix's fixed point), and makes the
+quadratic entropy, Z sum h^2, non-increasing step by step.  The matrix
+depends only on (n, d, kappa, D, dt), so it is factored once per such
+tuple (LAPACK pttrf, L D L^T) and every step is one in-place pttrs solve
+on h.  f is formed from h at the end of each march, and after every step
+only when the self-consistent policy checks its axis.
 """
 from __future__ import annotations
 
@@ -171,25 +181,28 @@ def _resolve_axis(f: AngularDensity, u_policy: str) -> None:
 @lru_cache(maxsize=8)
 def _backward_euler_factor(
     n: int, d: int, kappa: float, D: float, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(L D L^T factor: diagonal of D, subdiagonal of L; cell measures mu; centre weights E).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L D L^T factor: diagonal of D, subdiagonal of L; scale sqrt(mu / E)).
 
-    The backward-Euler matrix acts on g = f / E: diag(mu E) plus dt times the
-    face-flux stiffness.  Cached per argument tuple and shared by every
-    caller, hence read-only.
+    The factored matrix is I + dt M^{-1/2} K M^{-1/2}, M = diag(mu E) and K
+    the face-flux stiffness; it acts on h = scale * f.  Cached per argument
+    tuple and shared by every caller, hence read-only.
     """
     E, face = _grid_weights(n, d, kappa)
     mu = cell_measures(n, d)
     w = dt * D * face / (np.pi / n)
-    diag = mu * E
-    diag[:-1] += w
-    diag[1:] += w
-    diag, sub, info = dpttrf(diag, -w, overwrite_d=1)
+    m = mu * E
+    load = np.zeros(n)
+    load[:-1] += w
+    load[1:] += w
+    root = np.sqrt(m)
+    diag, sub, info = dpttrf(1.0 + load / m, -w / (root[:-1] * root[1:]), overwrite_d=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf returned info = {info}: matrix not positive definite")
-    for a in (diag, sub):
+    scale = np.sqrt(mu / E)
+    for a in (diag, sub, scale):
         a.setflags(write=False)
-    return diag, sub, mu, E
+    return diag, sub, scale
 
 
 def evolve(
@@ -205,14 +218,18 @@ def evolve(
         raise ValueError("need dt > 0, D > 0")
     f0.validate()
     steps = step_count(T, dt)
-    diag, sub, mu, E = _backward_euler_factor(f0.n, f0.d, kappa, D, dt)
-    state = AngularDensity(d=f0.d, values=f0.values.copy())
+    diag, sub, scale = _backward_euler_factor(f0.n, f0.d, kappa, D, dt)
+    track = u_policy == "self-consistent"
+    state = AngularDensity(d=f0.d, values=f0.values)
+    h = scale * f0.values
     for _ in range(steps):
         _resolve_axis(state, u_policy)
-        g, info = dpttrs(diag, sub, mu * state.values, overwrite_b=1)
+        h, info = dpttrs(diag, sub, h, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs returned info = {info}")
-        state.values = E * g
+        if track:
+            state.values = h / scale
+    state.values = h / scale
     return state
 
 

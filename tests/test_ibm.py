@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,16 @@ class TestCoarseGrain:
         finite = ~np.isnan(u[..., 0])
         norms = np.linalg.norm(u[finite], axis=-1)
         assert np.abs(norms - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("bandwidth", [1e300, np.float64(1e300)], ids=["float", "float64"])
+    def test_bandwidth_with_overflowing_square_keeps_the_mean(self, bandwidth):
+        # bandwidth**2 overflows: only the k = 0 mode of the filter is left
+        cfg = base_config(N=500, box_length=1.0, seed=13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, _ = coarse_grain(initial_state(cfg), 3, bandwidth, 1.0)
+        assert rho.shape == (3, 3)
+        assert np.allclose(rho, 500.0, rtol=1e-14, atol=0.0)
 
     def test_empty_cells_masked_with_nan(self):
         st = ParticleState(

@@ -168,9 +168,11 @@ def test_timescale_set_by_noise():
 def _reference_evolve(f0, kappa, D, dt, T, u_policy="fixed", route="pttrs"):
     """Hand copy of the backward-Euler march that factors per call.
 
-    route "pttrs" steps with LAPACK pttrf/pttrs, the march's own L D L^T
-    route, which evolve must reproduce bit for bit; route "cholesky" steps
-    with cholesky_banded and cho_solve_banded, which rounds differently.
+    route "pttrs" factors the march's own scaled matrix
+    I + dt M^{-1/2} K M^{-1/2} with LAPACK pttrf and steps h = sqrt(mu/E) f
+    with pttrs, which evolve must reproduce bit for bit; route "cholesky"
+    steps the unscaled system (M + dt K) g = mu f, M = diag(mu E), with
+    cholesky_banded and cho_solve_banded, which rounds differently.
     """
     if dt <= 0 or T < 0 or D <= 0:
         raise ValueError("need dt > 0, T >= 0, D > 0")
@@ -187,26 +189,31 @@ def _reference_evolve(f0, kappa, D, dt, T, u_policy="fixed", route="pttrs"):
         / angle_weight_norm(f0.d - 2)
     )
     w = dt * D * w_face / dtheta
+    state = AngularDensity(d=f0.d, values=f0.values.copy())
+    if route == "pttrs":
+        m = mu * E
+        load = np.zeros(n)
+        load[:-1] += w
+        load[1:] += w
+        root = np.sqrt(m)
+        diag, sub, info = dpttrf(1.0 + load / m, -w / (root[:-1] * root[1:]))
+        assert info == 0
+        scale = np.sqrt(mu / E)
+        h = scale * state.values
+        for _ in range(steps):
+            kinetic._resolve_axis(state, u_policy)
+            h = dpttrs(diag, sub, h)[0]
+            state.values = h / scale
+        return state
     ab = np.zeros((2, n))
     ab[1, :] = mu * E
     ab[1, :-1] += w
     ab[1, 1:] += w
     ab[0, 1:] = -w
-    if route == "pttrs":
-        diag, sub, info = dpttrf(ab[1], ab[0, 1:])
-        assert info == 0
-
-        def solve(b):
-            return dpttrs(diag, sub, b)[0]
-    else:
-        chol = cholesky_banded(ab)
-
-        def solve(b):
-            return cho_solve_banded((chol, False), b)
-    state = AngularDensity(d=f0.d, values=f0.values.copy())
+    chol = cholesky_banded(ab)
     for _ in range(steps):
         kinetic._resolve_axis(state, u_policy)
-        state.values = E * solve(mu * state.values)
+        state.values = E * cho_solve_banded((chol, False), mu * state.values)
     return state
 
 
@@ -250,6 +257,21 @@ def test_relaxation_series_factors_once(monkeypatch):
     assert calls == [(80,)]
     for a in kinetic._backward_euler_factor(80, 3, 4.0, 1.0, 1e-2):
         assert not a.flags.writeable
+
+
+def test_each_step_is_one_dpttrs_call(monkeypatch):
+    calls = []
+
+    def counting_dpttrs(diag, sub, b, **kwargs):
+        calls.append(b.shape)
+        return dpttrs(diag, sub, b, **kwargs)
+
+    monkeypatch.setattr(kinetic, "dpttrs", counting_dpttrs)
+    f = bump_density(80, 3)
+    for k in (1, 7, 40):
+        calls.clear()
+        evolve(f, 4.0, 1.0, dt=1e-2, T=k * 1e-2)
+        assert calls == [(80,)] * k
 
 
 def test_factor_of_indefinite_matrix_raises():

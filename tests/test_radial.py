@@ -143,6 +143,18 @@ def test_spline_bitwise_equal_to_cubic_spline(kappa, d, n):
         assert np.array_equal(sol.derivative(r), slopes(r)), kind
 
 
+@pytest.mark.parametrize("kappa, d, n", [(1.7, 2, 1024), (8.0, 3, 8192), (40.0, 4, 1024)])
+def test_on_intervals_is_the_call_at_the_quadrature_points(kappa, d, n):
+    # k's load reads e at the Gauss points of half-grid element j on full-grid
+    # interval n/2 + j, the interval the general call's search finds there
+    e = solve_bundle(kappa, d, n)["e"]
+    rq = radial._element_quadrature(n // 2)[3]
+    cells = n // 2 + np.arange(n // 2)[:, None]
+    found = np.searchsorted(e.grid, rq, side="right") - 1
+    assert np.array_equal(found, np.broadcast_to(cells, rq.shape))
+    assert np.array_equal(e._spline.on_intervals(cells, rq), e(rq))
+
+
 def test_spline_rejects_non_finite_data():
     x = np.linspace(0.0, 1.0, 9)
     y = x**2
